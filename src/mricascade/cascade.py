@@ -35,9 +35,8 @@ from .layers import (
 from .sampling import Measurements, zero_filled
 from .tensorcore import ComplexImage, Rng, read_tensor, write_tensor
 
-# full-scale defaults and the small profile used by fast desk experiments
+# full-scale defaults
 DEFAULT_PROFILE = {"n_c": 5, "n_d": 5, "n_f": 64, "k": 3}
-DESK_PROFILE = {"n_c": 3, "n_d": 3, "n_f": 16, "k": 3}
 
 
 @dataclass(eq=False)
@@ -47,10 +46,6 @@ class CnnModule:
     negative real/imaginary values)."""
 
     layers: list
-
-    @property
-    def n_d(self) -> int:
-        return len(self.layers)
 
 
 @dataclass(eq=False)
@@ -165,21 +160,16 @@ class CascadeCache:
 
 
 def cascade_forward(model: CascadeModel, x_u: ComplexImage, meas: Measurements):
-    """Run the cascade on a zero-filled reconstruction.
+    """Run the cascade from the starting image ``x_u``, normally
+    ``zero_filled(meas)``.
 
-    ``x_u`` must be the zero-filled reconstruction of ``meas`` (checked
-    approximately in debug mode). Returns the reconstruction and the cache
-    for :func:`cascade_backward`.
+    Returns the reconstruction and the cache for :func:`cascade_backward`.
     """
     if (x_u.height, x_u.width) != (meas.mask.height, meas.mask.width):
         raise InvalidShapeError(
             f"image is {x_u.height}x{x_u.width} but measurements are "
             f"{meas.mask.height}x{meas.mask.width}"
         )
-    # non-finite inputs fall through to the training-divergence check
-    assert not np.isfinite(x_u.channels).all() or np.allclose(
-        x_u.channels, zero_filled(meas).astype(x_u.dtype).channels, rtol=1e-3, atol=1e-4
-    ), "x_u is not the zero-filled reconstruction of meas"
 
     cfg = DcConfig(measured=meas, lam=model.lam)
     x = x_u
@@ -262,25 +252,36 @@ def save_checkpoint(model: CascadeModel, path) -> None:
             write_tensor(f, arr)
 
 
+def _read_exact(f, n: int, path) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointFormatError(f"{path}: truncated checkpoint")
+    return raw
+
+
 def load_checkpoint(path) -> CascadeModel:
+    """Read a CSC1 file; malformed content raises CheckpointFormatError."""
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise CheckpointFormatError(f"{path}: not a cascade checkpoint (bad magic)")
-        version, lam_mode = struct.unpack("<BB", f.read(2))
+        version, lam_mode = struct.unpack("<BB", _read_exact(f, 2, path))
         if version != _CKPT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-        (lam_value,) = struct.unpack("<d", f.read(8))
-        n_c, n_d, n_f, k = struct.unpack("<4I", f.read(16))
-        (count,) = struct.unpack("<I", f.read(4))
+        (lam_value,) = struct.unpack("<d", _read_exact(f, 8, path))
+        n_c, n_d, n_f, k = struct.unpack("<4I", _read_exact(f, 16, path))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, path))
         if n_c < 1 or n_d < 2 or count != 2 * n_c * n_d:
             raise CheckpointFormatError(
                 f"{path}: inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})"
             )
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            tensors[name] = read_tensor(f)
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path))
+            try:
+                name = _read_exact(f, name_len, path).decode("utf-8")
+                tensors[name] = read_tensor(f)
+            except (UnicodeDecodeError, InvalidParameterError, InvalidShapeError) as exc:
+                raise CheckpointFormatError(f"{path}: {exc}") from exc
         if f.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after last tensor")
 

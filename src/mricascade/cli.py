@@ -1,9 +1,11 @@
 """Command-line surface: data generation, training, reconstruction,
 evaluation, and the gradient-check harness.
 
-Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 training
-divergence. Every command is deterministic given its flags (single-worker
-mode); ``CASCADE_RECON_THREADS`` caps the evaluation worker count.
+Exit codes: 0 success, 1 check failure, 2 usage/input error (any unreadable
+or malformed checkpoint, image, manifest, mask file or
+``CASCADE_RECON_THREADS``, reported as one ``error:`` line by :func:`main`),
+3 training divergence. Every command is deterministic given its flags
+(single-worker mode); ``CASCADE_RECON_THREADS`` caps the evaluation worker count.
 """
 
 from __future__ import annotations
@@ -46,11 +48,17 @@ def _fail(msg: str) -> int:
 def read_manifest(data_dir: Path):
     """Returns [(path, split), ...] from a dataset directory."""
     manifest = data_dir / MANIFEST_NAME
+    try:
+        text = manifest.read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{manifest}: {exc}") from exc
     entries = []
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "," not in line:
+            raise InvalidParameterError(f"{manifest}:{lineno}: expected 'name,split', got {line!r}")
         name, split = line.rsplit(",", 1)
         entries.append((data_dir / name, split))
     return entries
@@ -160,10 +168,7 @@ def cmd_train(args) -> int:
 
     rng = Rng(args.seed)
     if args.init_checkpoint:
-        try:
-            model = cascade_mod.load_checkpoint(args.init_checkpoint)
-        except (OSError, CheckpointFormatError) as exc:
-            return _fail(str(exc))
+        model = cascade_mod.load_checkpoint(args.init_checkpoint)
         if (model.n_c, model.n_d, model.n_f, model.k) != (args.nc, args.nd, args.nf, args.k):
             return _fail(
                 "--init-checkpoint hyperparameters "
@@ -209,30 +214,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _mask_for_args(args, img: ComplexImage) -> SamplingMask | int:
+def _mask_for_args(args, img: ComplexImage) -> SamplingMask:
     if args.mask_file:
         values = load_tensor(args.mask_file)
         if values.shape != (img.height,):
-            return _fail(f"mask file has shape {values.shape}, image needs ({img.height},)")
+            raise InvalidShapeError(f"mask file has shape {values.shape}, image needs ({img.height},)")
         return SamplingMask.from_tensor(values, width=img.width)
     return generate_mask(Rng(args.mask_seed), img.height, img.width, args.acceleration, args.n_low)
 
 
-def cmd_reconstruct(args) -> int:
-    try:
-        model = cascade_mod.load_checkpoint(args.checkpoint)
-        img = load_image(args.image)
-    except (OSError, CheckpointFormatError, InvalidParameterError) as exc:
-        return _fail(str(exc))
-    mask = _mask_for_args(args, img)
-    if isinstance(mask, int):
-        return mask
+def _timed_reconstruct(model, img: ComplexImage, mask: SamplingMask):
+    """Encode, then time ``reconstruct`` alone: (zero-filled, recon, ms)."""
     meas = apply_encoding(img.astype(model.dtype), mask)
-
     t0 = time.perf_counter()
-    x_u = zero_filled(meas)
-    x_cnn, _ = cascade_mod.cascade_forward(model, x_u, meas)
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    x_cnn = cascade_mod.reconstruct(model, meas)
+    ms = (time.perf_counter() - t0) * 1e3
+    return zero_filled(meas), x_cnn, ms
+
+
+def cmd_reconstruct(args) -> int:
+    model = cascade_mod.load_checkpoint(args.checkpoint)
+    img = load_image(args.image)
+    mask = _mask_for_args(args, img)
+    x_u, x_cnn, elapsed_ms = _timed_reconstruct(model, img, mask)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,20 +247,12 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _evaluate_one(model, img, mask):
-    meas = apply_encoding(img.astype(model.dtype), mask)
-    t0 = time.perf_counter()
-    x_u = zero_filled(meas)
-    x_cnn, _ = cascade_mod.cascade_forward(model, x_u, meas)
-    ms = (time.perf_counter() - t0) * 1e3
-    return x_u, x_cnn, ms
-
-
 def cmd_evaluate(args) -> int:
-    try:
-        model = cascade_mod.load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointFormatError) as exc:
-        return _fail(str(exc))
+    raw = os.environ.get("CASCADE_RECON_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidParameterError(f"CASCADE_RECON_THREADS must be a positive integer, got {raw!r}")
+    workers = int(raw)
+    model = cascade_mod.load_checkpoint(args.checkpoint)
     data_dir = Path(args.data)
     if not (data_dir / MANIFEST_NAME).is_file():
         return _fail(f"no dataset manifest in {data_dir}")
@@ -268,12 +264,11 @@ def cmd_evaluate(args) -> int:
         _eval_mask(args.mask_seed, i, img, args.acceleration, args.n_low)
         for i, img in enumerate(images)
     ]
-    workers = int(os.environ.get("CASCADE_RECON_THREADS", "1"))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _evaluate_one(model, *t), zip(images, masks)))
+            results = list(pool.map(lambda t: _timed_reconstruct(model, *t), zip(images, masks)))
     else:
-        results = [_evaluate_one(model, img, mask) for img, mask in zip(images, masks)]
+        results = [_timed_reconstruct(model, img, mask) for img, mask in zip(images, masks)]
 
     report = EvalReport(
         model_id=Path(args.checkpoint).name,
@@ -404,7 +399,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InvalidParameterError, InvalidShapeError) as exc:
+    except (OSError, CheckpointFormatError, InvalidParameterError, InvalidShapeError) as exc:
         return _fail(str(exc))
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError, InvalidShapeError
 from .fourier import fft2_complex
 from .sampling import Measurements, SamplingMask
@@ -39,17 +37,14 @@ class DcConfig:
 
     measured: Measurements
     lam: float = math.inf
-    mask: SamplingMask | None = None  # defaults to measured.mask
 
     def __post_init__(self):
-        if self.mask is None:
-            object.__setattr__(self, "mask", self.measured.mask)
-        if self.mask is not self.measured.mask and not np.array_equal(
-            self.mask.phase_lines, self.measured.mask.phase_lines
-        ):
-            raise InvalidParameterError("mask disagrees with measured.mask")
         if not (self.lam == math.inf or self.lam > 0):
             raise InvalidParameterError(f"lam must be > 0 or inf, got {self.lam}")
+
+    @property
+    def mask(self) -> SamplingMask:
+        return self.measured.mask
 
     @property
     def infinite(self) -> bool:

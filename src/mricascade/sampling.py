@@ -60,9 +60,14 @@ class SamplingMask:
 
     @classmethod
     def from_tensor(cls, values: np.ndarray, width: int, **meta) -> "SamplingMask":
+        """Parse the 0/1 form; other values (NaN too) and empty masks are rejected."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise InvalidShapeError(f"mask tensor must be 1-d, got shape {values.shape}")
+        if not np.all((values == 0) | (values == 1)):
+            raise InvalidParameterError("mask tensor values must be 0 or 1")
+        if not np.any(values):
+            raise InvalidParameterError("mask tensor samples no line")
         return cls(height=values.shape[0], width=width, phase_lines=values != 0, **meta)
 
 
@@ -82,22 +87,14 @@ def low_frequency_lines(height: int, n_low: int) -> np.ndarray:
     return np.array([o % height for o in offsets], dtype=np.intp)
 
 
-def generate_mask(
-    rng: Rng,
-    height: int,
-    width: int,
-    acceleration: float,
-    n_low: int,
-    gaussian_std: float | None = None,
-) -> SamplingMask:
+def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low: int) -> SamplingMask:
     """Draw a variable-density Cartesian line mask.
 
     The ``n_low`` lines nearest DC are always acquired and count toward the
     budget of ``round(height / acceleration)`` lines. The remaining lines are
     sampled without replacement with probability proportional to a zero-mean
-    Gaussian density over the centered offset; its standard deviation defaults
-    to ``height / 6`` (about 3 sigma at the band edge) and is exposed as a
-    knob.
+    Gaussian density over the centered offset with standard deviation
+    ``height / 6`` (about 3 sigma at the band edge).
 
     Raises
     ------
@@ -122,9 +119,7 @@ def generate_mask(
     remaining = budget - n_low
     if remaining > 0:
         candidates = np.flatnonzero(~lines)
-        std = float(gaussian_std) if gaussian_std is not None else height / 6.0
-        if std <= 0:
-            raise InvalidParameterError(f"gaussian_std must be > 0, got {std}")
+        std = height / 6.0
         offs = centered_offsets(height)[candidates].astype(np.float64)
         density = np.exp(-0.5 * (offs / std) ** 2)
         chosen = rng.gen.choice(

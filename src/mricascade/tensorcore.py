@@ -10,6 +10,8 @@ Two precisions are supported: float32 (training default) and float64
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -178,10 +180,13 @@ def read_tensor(f) -> np.ndarray:
     if any(d < 1 for d in shape):
         raise InvalidShapeError(f"CXT1 dims must be >= 1, got {shape}")
     dtype = _CODE_TO_DTYPE[code]
-    count = int(np.prod(shape))
-    payload = f.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
+    nbytes = math.prod(shape) * dtype.itemsize
+    # checked before reading: a corrupt dim can ask for more than can be allocated
+    start = f.tell()
+    if nbytes > f.seek(0, io.SEEK_END) - start:
         raise InvalidParameterError("truncated CXT1 payload")
+    f.seek(start)
+    payload = f.read(nbytes)
     return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
 

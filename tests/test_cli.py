@@ -4,9 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from mricascade import Rng, build_model, load_checkpoint, save_checkpoint, zero_model
+from mricascade import (
+    CheckpointFormatError,
+    Rng,
+    apply_encoding,
+    build_model,
+    generate_mask,
+    load_checkpoint,
+    reconstruct,
+    save_checkpoint,
+    zero_filled,
+    zero_model,
+)
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
-from mricascade.tensorcore import load_image, load_tensor
+from mricascade.tensorcore import load_image, load_tensor, save_tensor
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +25,14 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     assert main(["generate", "--n", "6", "--size", "32", "--seed", "4", "--out", str(out)]) == 0
     return out
+
+
+def assert_input_error(code, capsys):
+    """Exit 2 with exactly one stderr line, which starts with 'error:'."""
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 class TestGenerate:
@@ -85,8 +104,6 @@ class TestTrain:
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a non-finite training image drives the loss non-finite
-        from mricascade.tensorcore import save_tensor
-
         data = tmp_path / "bad_data"
         data.mkdir()
         broken = np.full((2, 32, 32), np.inf, dtype=np.float32)
@@ -133,9 +150,6 @@ class TestReconstruct:
         assert np.max(np.abs(x_cnn.channels - original.channels)) < 1e-5
 
     def test_mask_file_roundtrip(self, dataset, tmp_path):
-        from mricascade import generate_mask
-        from mricascade.tensorcore import save_tensor
-
         ckpt = tmp_path / "zero.csc1"
         save_checkpoint(zero_model(1, 2, 4), ckpt)
         mask = generate_mask(Rng(8), 32, 32, 4.0, 4)
@@ -149,6 +163,38 @@ class TestReconstruct:
         )
         assert code == 0
         assert np.array_equal(load_tensor(out / "mask.cxt"), mask.to_tensor())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_equal_library_reconstruct(self, dataset, tmp_path, dtype):
+        model = build_model(Rng(3), 2, 3, 4, dtype=dtype)
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(model, ckpt)
+        img_path = read_manifest(dataset)[0][0]
+        out = tmp_path / "recon"
+        code = main(
+            ["reconstruct", "--checkpoint", str(ckpt), "--image", str(img_path),
+             "--mask-seed", "3", "--acceleration", "3", "--n-low", "4", "--out", str(out)]
+        )
+        assert code == 0
+        meas = apply_encoding(load_image(img_path).astype(dtype), generate_mask(Rng(3), 32, 32, 3.0, 4))
+        assert np.array_equal(load_image(out / "x_cnn.cxt").channels, reconstruct(model, meas).channels)
+        assert np.array_equal(load_image(out / "x_u.cxt").channels, zero_filled(meas).channels)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(32, np.nan), np.full(32, 0.5), np.zeros(32), np.ones(16)],
+        ids=["nan", "half", "all-zero", "wrong-length"],
+    )
+    def test_bad_mask_file_is_input_error(self, dataset, tmp_path, capsys, values):
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        mask_path = tmp_path / "mask.cxt"
+        save_tensor(mask_path, values.astype(np.float32))
+        code = main(
+            ["reconstruct", "--checkpoint", str(ckpt), "--image", str(read_manifest(dataset)[0][0]),
+             "--mask-file", str(mask_path), "--out", str(tmp_path / "recon")]
+        )
+        assert_input_error(code, capsys)
 
 
 class TestEvaluate:
@@ -204,8 +250,6 @@ class TestEvaluate:
         payload = np.frombuffer(raw.split(b"\n255\n", 1)[1], dtype=np.uint8)
 
         # recompute the expected quantized map independently
-        from mricascade import apply_encoding, generate_mask, zero_filled
-
         entries = [(p, s) for p, s in read_manifest(dataset) if s == "test"]
         img = load_image(entries[0][0])
         mask = generate_mask(Rng(11).child(0), 32, 32, 3.0, 4)
@@ -232,6 +276,63 @@ class TestEvaluateParallel:
             reports[workers] = path.read_text()
         assert reports["1"] == reports["3"]
         assert (tmp_path / "r1.csv.txt").read_text().startswith("model:")
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_worker_count_is_input_error(self, dataset, tmp_path, capsys, monkeypatch, workers):
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset)])
+        assert "CASCADE_RECON_THREADS" in assert_input_error(code, capsys)
+
+
+class TestInputErrors:
+    def test_malformed_checkpoint_raises_and_exits_2(self, dataset, tmp_path, capsys):
+        path = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
+        raw = path.read_bytes()
+        # every truncation, a 0xFF byte in the first tensor name (after the
+        # 34-byte header and the name's u16 length), and a first tensor whose
+        # dims claim 2^31 x 2^31
+        dims = raw.index(b"CXT1") + 6
+        cases = [raw[:n] for n in range(len(raw))] + [
+            raw[:36] + b"\xff" + raw[37:],
+            raw[:dims] + (2**31).to_bytes(4, "little") * 2 + raw[dims + 8:],
+        ]
+        bad = tmp_path / "bad.csc1"
+        for blob in cases:
+            bad.write_bytes(blob)
+            with pytest.raises(CheckpointFormatError, match="bad.csc1"):
+                load_checkpoint(bad)
+            code = main(
+                ["reconstruct", "--checkpoint", str(bad), "--image",
+                 str(read_manifest(dataset)[0][0]), "--out", str(tmp_path / "recon")]
+            )
+            assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "manifest, names",
+        [
+            (b"phantom.cxt,train\nphantom.cxt\n", "manifest.txt:2:"),
+            (b"missing.cxt,train\nmissing.cxt,test\n", "missing.cxt"),
+            (b"\xff\n", "manifest.txt"),
+        ],
+        ids=["no-split", "missing-file", "not-utf8"],
+    )
+    def test_bad_manifest_is_input_error(self, dataset, tmp_path, capsys, command, manifest, names):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "phantom.cxt").write_bytes(read_manifest(dataset)[0][0].read_bytes())
+        (data / "manifest.txt").write_bytes(manifest)
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        if command == "train":
+            argv = ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "4",
+                    "--epochs", "1", "--out", str(tmp_path / "m.csc1")]
+        else:
+            argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]
+        assert names in assert_input_error(main(argv), capsys)
 
 
 class TestCheckpointEvery:

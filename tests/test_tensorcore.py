@@ -149,6 +149,12 @@ class TestCxt1Format:
         with pytest.raises(InvalidParameterError):
             read_tensor(io.BytesIO(buf.getvalue()[:-2]))
 
+    def test_impossible_dims_rejected(self):
+        # 2^31 x 2^31 float32 asks for 2^64 bytes; rejected before any read
+        dims = (2**31).to_bytes(4, "little") * 2
+        with pytest.raises(InvalidParameterError):
+            read_tensor(io.BytesIO(b"CXT1\x04\x02" + dims + b"\x00" * 16))
+
     def test_rejects_non_float(self):
         with pytest.raises(InvalidParameterError):
             write_tensor(io.BytesIO(), np.zeros(3, dtype=np.int32))
