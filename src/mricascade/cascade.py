@@ -10,7 +10,9 @@ is the identity on consistent inputs, which is asserted by the tests.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -237,19 +239,28 @@ def _tensor_names(n_c: int, n_d: int):
 
 
 def save_checkpoint(model: CascadeModel, path) -> None:
+    """Write a CSC1 file to a temp file beside ``path``, then rename it over
+    ``path``: a failed write leaves any existing checkpoint there intact."""
     params = model.parameters()
     names = list(_tensor_names(model.n_c, model.n_d))
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<BB", _CKPT_VERSION, 1 if model.lam == math.inf else 0))
-        f.write(struct.pack("<d", 0.0 if model.lam == math.inf else model.lam))
-        f.write(struct.pack("<4I", model.n_c, model.n_d, model.n_f, model.k))
-        f.write(struct.pack("<I", len(params)))
-        for name, arr in zip(names, params):
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            write_tensor(f, arr)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<BB", _CKPT_VERSION, 1 if model.lam == math.inf else 0))
+            f.write(struct.pack("<d", 0.0 if model.lam == math.inf else model.lam))
+            f.write(struct.pack("<4I", model.n_c, model.n_d, model.n_f, model.k))
+            f.write(struct.pack("<I", len(params)))
+            for name, arr in zip(names, params):
+                raw = name.encode("utf-8")
+                f.write(struct.pack("<H", len(raw)))
+                f.write(raw)
+                write_tensor(f, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -282,6 +293,8 @@ def load_checkpoint(path) -> CascadeModel:
                 tensors[name] = read_tensor(f)
             except (UnicodeDecodeError, InvalidParameterError, InvalidShapeError) as exc:
                 raise CheckpointFormatError(f"{path}: {exc}") from exc
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointFormatError(f"{path}: tensor {name} has non-finite values")
         if f.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after last tensor")
 

@@ -3,7 +3,8 @@
 Convolution is the deep-learning cross-correlation (no kernel flip) with
 stride 1 and zero same-padding, so spatial dims are preserved; that is what
 the residual connections and the data-consistency step require. Forward
-passes are im2col + matmul; backward passes reuse the cached column matrix.
+passes are one matmul over channel-major im2col columns; the cache keeps only
+the layer input, and the backward pass rebuilds the columns from it.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def he_init(rng: Rng, n_out: int, n_in: int, k: int, dtype=np.float32) -> ConvLa
 
 @dataclass(eq=False)
 class ConvCache:
-    cols: np.ndarray  # [H*W, n_in*k*k]
-    in_shape: tuple
+    x: np.ndarray  # [n_in, H, W] layer input; conv_backward rebuilds the columns from it
 
 
 @dataclass(eq=False)
@@ -69,11 +69,11 @@ class ReluCache:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    # [C*k*k, H*W]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
     c, h, w = x.shape
     p = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # [C, H, W, k, k]
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+    return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray):
@@ -85,18 +85,15 @@ def conv_forward(layer: ConvLayer, x: np.ndarray):
         raise InvalidShapeError(
             f"input must be [{layer.n_in}, H, W], got {getattr(x, 'shape', None)}"
         )
-    c, h, w = x.shape
-    k = layer.kernel_size
-    cols = _im2col(x, k)
+    _, h, w = x.shape
     wmat = layer.weights.reshape(layer.n_out, -1)
-    out = cols @ wmat.T  # [H*W, n_out]
-    out = out.T.reshape(layer.n_out, h, w) + layer.bias[:, None, None]
-    return out, ConvCache(cols=cols, in_shape=x.shape)
+    out = (wmat @ _im2col(x, layer.kernel_size)).reshape(layer.n_out, h, w)
+    return out + layer.bias[:, None, None], ConvCache(x=x)
 
 
 def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
     """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b)."""
-    c, h, w = cache.in_shape
+    c, h, w = cache.x.shape
     if grad_out.shape != (layer.n_out, h, w):
         raise InvalidShapeError(
             f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
@@ -106,14 +103,14 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
     go = grad_out.reshape(layer.n_out, h * w)
 
     grad_b = grad_out.sum(axis=(1, 2))
-    grad_w = (go @ cache.cols).reshape(layer.weights.shape)
+    grad_w = (go @ _im2col(cache.x, k).T).reshape(layer.weights.shape)
 
     wmat = layer.weights.reshape(layer.n_out, -1)
-    dcols = (go.T @ wmat).reshape(h, w, c, k, k)
+    dcols = (wmat.T @ go).reshape(c, k, k, h, w)
     grad_xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
     for di in range(k):
         for dj in range(k):
-            grad_xp[:, di : di + h, dj : dj + w] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
+            grad_xp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
     grad_in = grad_xp[:, p : p + h, p : p + w]
     return grad_in, grad_w, grad_b
 

@@ -205,4 +205,8 @@ def save_image(path, img: ComplexImage) -> None:
 
 
 def load_image(path) -> ComplexImage:
-    return ComplexImage(load_tensor(path))
+    """Read a ``[2, H, W]`` CXT1 image; NaN or inf raises InvalidParameterError."""
+    img = ComplexImage(load_tensor(path))
+    if not np.isfinite(img.channels).all():
+        raise InvalidParameterError(f"{path}: image has non-finite values")
+    return img

@@ -5,8 +5,10 @@ plain loops implementing the defining formulas, so agreement is meaningful.
 """
 
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_dft2(z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -42,6 +44,54 @@ def naive_conv2d(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.nda
                                 acc += weights[o, c, di, dj] * x[c, ii, jj]
                 out[o, i, j] = acc + bias[o]
     return out
+
+
+# Row-major im2col convolution ([H*W, C*k*k] columns, cached for the backward
+# pass), kept verbatim from before the channel-major rewrite of
+# mricascade.layers as the old-vs-new equivalence reference.
+
+
+@dataclass(eq=False)
+class RowMajorConvCache:
+    cols: np.ndarray  # [H*W, n_in*k*k]
+    in_shape: tuple
+
+
+def _rowmajor_im2col(x: np.ndarray, k: int) -> np.ndarray:
+    c, h, w = x.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # [C, H, W, k, k]
+    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+
+
+def rowmajor_conv_forward(layer, x: np.ndarray):
+    c, h, w = x.shape
+    k = layer.kernel_size
+    cols = _rowmajor_im2col(x, k)
+    wmat = layer.weights.reshape(layer.n_out, -1)
+    out = cols @ wmat.T  # [H*W, n_out]
+    out = out.T.reshape(layer.n_out, h, w) + layer.bias[:, None, None]
+    return out, RowMajorConvCache(cols=cols, in_shape=x.shape)
+
+
+def rowmajor_conv_backward(layer, cache: RowMajorConvCache, grad_out: np.ndarray):
+    c, h, w = cache.in_shape
+    k = layer.kernel_size
+    p = (k - 1) // 2
+    go = grad_out.reshape(layer.n_out, h * w)
+
+    grad_b = grad_out.sum(axis=(1, 2))
+    grad_w = (go @ cache.cols).reshape(layer.weights.shape)
+
+    wmat = layer.weights.reshape(layer.n_out, -1)
+    dcols = (go.T @ wmat).reshape(h, w, c, k, k)
+    grad_xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+    for di in range(k):
+        for dj in range(k):
+            grad_xp[:, di : di + h, dj : dj + w] += dcols[:, :, :, di, dj].transpose(2, 0, 1)
+    grad_in = grad_xp[:, p : p + h, p : p + w]
+    return grad_in, grad_w, grad_b
 
 
 def dct2_8x8_coefficients(image: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mricascade import (
     zero_filled,
     zero_model,
 )
+from mricascade import cascade as cascade_mod
 from mricascade.cascade import module_forward
 from mricascade.gradcheck import check_cascade
 
@@ -69,6 +72,25 @@ class TestCascadeForward:
         k_meas = meas.kspace.to_complex()
         on = meas.mask.phase_lines
         assert np.max(np.abs(k_out[on] - k_meas[on])) < tol
+
+
+class TestInferenceMemory:
+    def test_conv_caches_hold_only_the_layer_input(self):
+        # full-scale layer widths; the 16x16 size keeps the test fast
+        model = build_model(Rng(0), n_c=2, n_d=5, n_f=64)
+        _, meas, x_u = problem(3)
+        _, cache = cascade_forward(model, x_u.astype(np.float32), meas)
+        for stage, caches in zip(model.stages, cache.stage_caches):
+            conv_caches = caches[::2]
+            assert len(conv_caches) == len(stage.layers)
+            for layer, c in zip(stage.layers, conv_caches):
+                assert [f.name for f in fields(c)] == ["x"]
+                assert c.x.shape == (layer.n_in, 16, 16)
+                # no larger buffer (such as the [n_in*k*k, H*W] columns) is kept alive behind it
+                root = c.x
+                while root.base is not None:
+                    root = root.base
+                assert root.nbytes == c.x.nbytes
 
 
 class TestCascadeBackward:
@@ -140,6 +162,26 @@ class TestCheckpoint:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bad)
+
+    def test_failed_save_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
+        before = path.read_bytes()
+        real_write = cascade_mod.write_tensor
+        written = []
+
+        def write_one_then_fail(f, arr):
+            if written:
+                raise OSError("disk full")
+            written.append(arr)
+            real_write(f, arr)
+
+        monkeypatch.setattr(cascade_mod, "write_tensor", write_one_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build_model(Rng(1), 1, 2, 2), path)
+        assert len(written) == 1
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csc1"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.csc1"

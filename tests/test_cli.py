@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mricascade import (
     CheckpointFormatError,
+    ComplexImage,
+    InvalidParameterError,
+    InvalidShapeError,
     Rng,
     apply_encoding,
     build_model,
@@ -17,7 +22,7 @@ from mricascade import (
     zero_model,
 )
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
-from mricascade.tensorcore import load_image, load_tensor, save_tensor
+from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +108,11 @@ class TestTrain:
         assert code == 2
 
     def test_divergence_exits_3(self, tmp_path, capsys):
-        # a non-finite training image drives the loss non-finite
+        # a finite training image at the float32 limit overflows the forward
+        # pass and drives the loss non-finite (a non-finite image is an input error)
         data = tmp_path / "bad_data"
         data.mkdir()
-        broken = np.full((2, 32, 32), np.inf, dtype=np.float32)
+        broken = np.full((2, 32, 32), 3e38, dtype=np.float32)
         save_tensor(data / "broken.cxt", broken)
         (data / "manifest.txt").write_text("broken.cxt,train\n")
         code = main(
@@ -310,6 +316,41 @@ class TestInputErrors:
             )
             assert_input_error(code, capsys)
 
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "train"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_image_is_input_error(self, dataset, tmp_path, capsys, command, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        img = load_image(read_manifest(dataset)[0][0])
+        img.channels[1, 5, 7] = value
+        save_image(data / "phantom.cxt", img)
+        (data / "manifest.txt").write_text("phantom.cxt,train\nphantom.cxt,test\n")
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        out = tmp_path / "recon"
+        argv = {
+            "reconstruct": ["reconstruct", "--checkpoint", str(ckpt), "--image",
+                            str(data / "phantom.cxt"), "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)],
+            "train": ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "4",
+                      "--epochs", "1", "--out", str(tmp_path / "m.csc1")],
+        }[command]
+        assert "phantom.cxt" in assert_input_error(main(argv), capsys)
+        assert not (out / "x_cnn.cxt").exists()
+
+    def test_non_finite_checkpoint_is_input_error(self, dataset, tmp_path, capsys):
+        model = build_model(Rng(0), 1, 2, 2)
+        model.stages[0].layers[0].bias[1] = np.nan
+        ckpt = tmp_path / "nan.csc1"
+        save_checkpoint(model, ckpt)
+        with pytest.raises(CheckpointFormatError, match="stage0.conv0.bias"):
+            load_checkpoint(ckpt)
+        code = main(
+            ["reconstruct", "--checkpoint", str(ckpt), "--image",
+             str(read_manifest(dataset)[0][0]), "--out", str(tmp_path / "recon")]
+        )
+        assert "stage0.conv0.bias" in assert_input_error(code, capsys)
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize(
         "manifest, names",
@@ -333,6 +374,40 @@ class TestInputErrors:
         else:
             argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]
         assert names in assert_input_error(main(argv), capsys)
+
+
+class TestByteCorruption:
+    """Any one byte of a CSC1 checkpoint or a CXT1 image set to any value:
+    loading raises a typed error or returns finite arrays, and ``reconstruct``
+    exits 0 or 2 without raising."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("corrupt")
+        save_checkpoint(build_model(Rng(0), 1, 2, 2), d / "m.csc1")
+        save_image(d / "img.cxt", ComplexImage(Rng(1).gen.standard_normal((2, 8, 8)).astype(np.float32)))
+        return d
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(["m.csc1", "img.cxt"]), data=st.data())
+    def test_single_byte_overwrite(self, files, name, data):
+        raw = bytearray((files / name).read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        bad = files / f"bad_{name}"
+        bad.write_bytes(raw)
+        is_ckpt = name == "m.csc1"
+        try:
+            arrays = load_checkpoint(bad).parameters() if is_ckpt else [load_image(bad).channels]
+        except (CheckpointFormatError, InvalidParameterError, InvalidShapeError):
+            pass
+        else:
+            assert all(np.isfinite(a).all() for a in arrays)
+        ckpt, img = (bad, files / "img.cxt") if is_ckpt else (files / "m.csc1", bad)
+        code = main(
+            ["reconstruct", "--checkpoint", str(ckpt), "--image", str(img), "--n-low", "2",
+             "--out", str(files / "recon")]
+        )
+        assert code in (0, 2)
 
 
 class TestCheckpointEvery:

@@ -16,7 +16,7 @@ from mricascade import (
 )
 from mricascade.gradcheck import check_conv, check_relu, numeric_gradient, relative_error
 
-from oracles import naive_conv2d
+from oracles import naive_conv2d, rowmajor_conv_backward, rowmajor_conv_forward
 
 
 def identity_layer(dtype=np.float64):
@@ -123,6 +123,28 @@ class TestConvBackward:
         _, cache = conv_forward(layer, np.zeros((1, 4, 4), dtype=np.float32))
         with pytest.raises(InvalidShapeError):
             conv_backward(layer, cache, np.zeros((2, 5, 5), dtype=np.float32))
+
+
+class TestRowMajorEquivalence:
+    """The channel-major conv matches the row-major im2col conv it replaced."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("h, w", [(16, 16), (12, 20)])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 16), (16, 16), (16, 2), (64, 2), (64, 64)])
+    def test_forward_and_gradients_match(self, n_in, n_out, h, w, k, dtype, tol):
+        rng = Rng(100 * n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=dtype)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, h, w)).astype(dtype)
+        grad_out = rng.gen.standard_normal((n_out, h, w)).astype(dtype)
+        out, cache = conv_forward(layer, x)
+        ref_out, ref_cache = rowmajor_conv_forward(layer, x)
+        got = (out, *conv_backward(layer, cache, grad_out))
+        expect = (ref_out, *rowmajor_conv_backward(layer, ref_cache, grad_out))
+        for name, a, b in zip(("out", "grad_in", "grad_w", "grad_b"), got, expect):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), name
 
 
 class TestRelu:
