@@ -279,6 +279,10 @@ def load_checkpoint(path) -> CascadeModel:
         if version != _CKPT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
         (lam_value,) = struct.unpack("<d", _read_exact(f, 8, path))
+        if lam_mode not in (0, 1) or (lam_mode == 0 and not 0 < lam_value < math.inf):
+            raise CheckpointFormatError(
+                f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})"
+            )
         n_c, n_d, n_f, k = struct.unpack("<4I", _read_exact(f, 16, path))
         (count,) = struct.unpack("<I", _read_exact(f, 4, path))
         if n_c < 1 or n_d < 2 or count != 2 * n_c * n_d:

@@ -6,6 +6,7 @@ the real command-line interface; the criteria assert on its artifacts. Each
 test prints one PASS line once its assertions hold (visible with -s / -rP).
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -23,13 +24,20 @@ from oracles import naive_dft2
 DESK = dict(n_c=3, n_d=3, n_f=16)
 
 
+# the package root this test process imported, so the CLI subprocess runs
+# the same checkout whether or not PYTHONPATH was set
+SRC = str(Path(mc.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
     """Run the CLI in a fresh process; returns (exit_code, stdout, seconds)."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "mricascade", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     elapsed = time.perf_counter() - t0
     return proc.returncode, proc.stdout + proc.stderr, elapsed

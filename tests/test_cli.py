@@ -1,5 +1,6 @@
 import filecmp
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -298,13 +299,16 @@ class TestInputErrors:
         save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
         raw = path.read_bytes()
         # every truncation, a 0xFF byte in the first tensor name (after the
-        # 34-byte header and the name's u16 length), and a first tensor whose
-        # dims claim 2^31 x 2^31
+        # 34-byte header and the name's u16 length), a first tensor whose
+        # dims claim 2^31 x 2^31, a lambda-mode byte (offset 5) that is
+        # neither 0 nor 1, and a finite-lambda header (mode 0) whose f64
+        # value (offset 6) is 0, NaN or negative
         dims = raw.index(b"CXT1") + 6
         cases = [raw[:n] for n in range(len(raw))] + [
             raw[:36] + b"\xff" + raw[37:],
             raw[:dims] + (2**31).to_bytes(4, "little") * 2 + raw[dims + 8:],
-        ]
+            raw[:5] + b"\x07" + raw[6:],
+        ] + [raw[:5] + b"\x00" + struct.pack("<d", lam) + raw[14:] for lam in (0.0, math.nan, -1.0)]
         bad = tmp_path / "bad.csc1"
         for blob in cases:
             bad.write_bytes(blob)
