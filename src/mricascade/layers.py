@@ -2,9 +2,12 @@
 
 Convolution is the deep-learning cross-correlation (no kernel flip) with
 stride 1 and zero same-padding, so spatial dims are preserved; that is what
-the residual connections and the data-consistency step require. Forward
-passes are one matmul over channel-major im2col columns; the cache keeps only
-the layer input, and the backward pass rebuilds the columns from it.
+the residual connections and the data-consistency step require. Every
+correlation, forward or backward, copies only its thinner side k*k times: it
+gathers the shifted input into channel-major im2col columns when the input has
+no more channels than the output, and otherwise multiplies first and scatters
+the k*k shifted products back through col2im. The cache keeps only the layer
+input.
 """
 
 from __future__ import annotations
@@ -76,6 +79,29 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
 
 
+def _col2im(dcols: np.ndarray) -> np.ndarray:
+    # adjoint of _im2col: [C, k, k, H, W] -> [C, H, W], each (di, dj) slice
+    # shifted back by (p - di, p - dj) and summed
+    c, k, _, h, w = dcols.shape
+    p = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            xp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
+    return xp[:, p : p + h, p : p + w]
+
+
+def _correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation of x [n_in, H, W] with w4 [n_out, n_in, k, k]."""
+    n_out, n_in, k, _ = w4.shape
+    _, h, w = x.shape
+    if n_in <= n_out:
+        return (w4.reshape(n_out, -1) @ _im2col(x, k)).reshape(n_out, h, w)
+    # rows (o, di, dj) of the flipped kernel, so col2im's shifts line up
+    wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
+    return _col2im((wrows @ x.reshape(n_in, h * w)).reshape(n_out, k, k, h, w))
+
+
 def conv_forward(layer: ConvLayer, x: np.ndarray):
     """Same-padded stride-1 cross-correlation plus per-channel bias.
 
@@ -85,33 +111,32 @@ def conv_forward(layer: ConvLayer, x: np.ndarray):
         raise InvalidShapeError(
             f"input must be [{layer.n_in}, H, W], got {getattr(x, 'shape', None)}"
         )
-    _, h, w = x.shape
-    wmat = layer.weights.reshape(layer.n_out, -1)
-    out = (wmat @ _im2col(x, layer.kernel_size)).reshape(layer.n_out, h, w)
-    return out + layer.bias[:, None, None], ConvCache(x=x)
+    return _correlate(layer.weights, x) + layer.bias[:, None, None], ConvCache(x=x)
 
 
 def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
     """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b)."""
     c, h, w = cache.x.shape
+    if c != layer.n_in:
+        raise InvalidShapeError(
+            f"cache holds a {c}-channel input, layer takes {layer.n_in} channels"
+        )
     if grad_out.shape != (layer.n_out, h, w):
         raise InvalidShapeError(
             f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
         )
-    k = layer.kernel_size
-    p = (k - 1) // 2
-    go = grad_out.reshape(layer.n_out, h * w)
+    n_out, k = layer.n_out, layer.kernel_size
 
     grad_b = grad_out.sum(axis=(1, 2))
-    grad_w = (go @ _im2col(cache.x, k).T).reshape(layer.weights.shape)
-
-    wmat = layer.weights.reshape(layer.n_out, -1)
-    dcols = (wmat.T @ go).reshape(c, k, k, h, w)
-    grad_xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
-    for di in range(k):
-        for dj in range(k):
-            grad_xp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
-    grad_in = grad_xp[:, p : p + h, p : p + w]
+    if c <= n_out:
+        grad_w = grad_out.reshape(n_out, h * w) @ _im2col(cache.x, k).T
+        grad_w = grad_w.reshape(layer.weights.shape)
+    else:
+        # rows (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
+        flipped = (_im2col(grad_out, k) @ cache.x.reshape(c, h * w).T).reshape(n_out, k, k, c)
+        grad_w = np.ascontiguousarray(flipped[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+    # the adjoint of a correlation is the correlation with the flipped, transposed kernel
+    grad_in = _correlate(layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), grad_out)
     return grad_in, grad_w, grad_b
 
 

@@ -14,6 +14,7 @@ from mricascade import (
     relu_forward,
     residual_add,
 )
+from mricascade import layers
 from mricascade.gradcheck import check_conv, check_relu, numeric_gradient, relative_error
 
 from oracles import naive_conv2d, rowmajor_conv_backward, rowmajor_conv_forward
@@ -77,12 +78,15 @@ class TestConvForward:
         out, _ = conv_forward(layer, np.zeros((3, 6, 10)))
         assert out.shape == (5, 6, 10)
 
+    # (3, 2) runs the scatter route (n_in > n_out), the others the gather route
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_quadruple_loop_oracle(self, seed):
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 3), (3, 2)])
+    def test_matches_quadruple_loop_oracle(self, n_in, n_out, k, seed):
         rng = Rng(seed)
-        layer = he_init(rng, n_out=3, n_in=2, k=3, dtype=np.float64)
-        layer.bias[:] = rng.gen.standard_normal(3)
-        x = rng.gen.standard_normal((2, 5, 7))
+        layer = he_init(rng, n_out=n_out, n_in=n_in, k=k, dtype=np.float64)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, 5, 7))
         got, _ = conv_forward(layer, x)
         expect = naive_conv2d(layer.weights, layer.bias, x)
         scale = np.max(np.abs(expect))
@@ -94,6 +98,30 @@ class TestConvBackward:
         # random 1 -> 2 channel layer on a 6x6 input, all three gradients
         for result in check_conv(seed=0):
             assert result.max_error < 1e-6, result
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("n_in, n_out", [(3, 1), (2, 2)])
+    def test_finite_difference_agreement_any_width(self, n_in, n_out, k):
+        # 3 -> 1 narrows, so its forward pass and grad_w take the scatter side
+        rng = Rng(10 * n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=np.float64)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, 5, 7))
+        out, cache = conv_forward(layer, x)
+        g_up = rng.gen.standard_normal(out.shape)
+        grad_in, grad_w, grad_b = conv_backward(layer, cache, g_up)
+
+        def loss(w, b, xv):
+            return float(np.sum(conv_forward(ConvLayer(w, b), xv)[0] * g_up))
+
+        numeric = (
+            numeric_gradient(lambda xv: loss(layer.weights, layer.bias, xv), x),
+            numeric_gradient(lambda wv: loss(wv, layer.bias, x), layer.weights),
+            numeric_gradient(lambda bv: loss(layer.weights, bv, x), layer.bias),
+        )
+        for name, a, n in zip(("grad_in", "grad_w", "grad_b"), (grad_in, grad_w, grad_b), numeric):
+            assert a.shape == n.shape, name
+            assert relative_error(a, n) < 1e-6, name
 
     def test_zero_grad_out(self):
         layer = he_init(Rng(0), 2, 1, 3, dtype=np.float64)
@@ -123,6 +151,25 @@ class TestConvBackward:
         _, cache = conv_forward(layer, np.zeros((1, 4, 4), dtype=np.float32))
         with pytest.raises(InvalidShapeError):
             conv_backward(layer, cache, np.zeros((2, 5, 5), dtype=np.float32))
+        # a cache from a 3 -> 2 layer handed to a 4 -> 2 layer
+        _, cache3 = conv_forward(he_init(Rng(1), 2, 3, 3), np.zeros((3, 4, 4), dtype=np.float32))
+        with pytest.raises(InvalidShapeError, match="3-channel.*4 channels"):
+            conv_backward(he_init(Rng(2), 2, 4, 3), cache3, np.zeros((2, 4, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("n_in, n_out", [(2, 64), (64, 2), (16, 16)])
+    def test_im2col_copies_only_the_thinner_side(self, monkeypatch, n_in, n_out):
+        copied = []
+        im2col = layers._im2col
+
+        def spy(x, k):
+            copied.append(x.shape[0])
+            return im2col(x, k)
+
+        monkeypatch.setattr(layers, "_im2col", spy)
+        layer = he_init(Rng(0), n_out, n_in, 3)
+        out, cache = conv_forward(layer, np.ones((n_in, 6, 6), dtype=np.float32))
+        conv_backward(layer, cache, np.ones_like(out))
+        assert copied and all(c == min(n_in, n_out) for c in copied), copied
 
 
 class TestRowMajorEquivalence:
