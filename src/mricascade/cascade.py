@@ -6,6 +6,10 @@ to two channels), adds the stage input back (the block learns a correction,
 not a full mapping), and then restores the measured k-space coefficients.
 Stages have independent weights. With every parameter zero the whole cascade
 is the identity on consistent inputs, which is asserted by the tests.
+
+For the backward pass a block keeps one array per conv layer, that layer's
+input. Past the first layer the input is a ReLU output, which is all the
+ReLU's backward needs, so no pre-activation is kept.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
 )
 from .layers import (
     ConvLayer,
+    ReluCache,
     conv_backward,
     conv_forward,
     he_init,
@@ -125,31 +130,26 @@ def zero_model(n_c: int, n_d: int, n_f: int, k: int = 3, lam: float = math.inf, 
 
 
 def module_forward(module: CnnModule, x: np.ndarray):
+    """Returns the block output and one ConvCache per layer, in layer order."""
     h = x
     caches = []
-    for layer in module.layers[:-1]:
+    for i, layer in enumerate(module.layers):
+        if i:
+            h, _ = relu_forward(h)
         h, c = conv_forward(layer, h)
         caches.append(c)
-        h, c = relu_forward(h)
-        caches.append(c)
-    h, c = conv_forward(module.layers[-1], h)
-    caches.append(c)
     return h, caches
 
 
 def module_backward(module: CnnModule, caches: list, grad: np.ndarray):
     """Returns (grad wrt module input, [(grad_w, grad_b) per layer in order])."""
     param_grads = [None] * len(module.layers)
-    ci = len(caches) - 1
-    grad, gw, gb = conv_backward(module.layers[-1], caches[ci], grad)
-    param_grads[-1] = (gw, gb)
-    ci -= 1
-    for li in range(len(module.layers) - 2, -1, -1):
-        grad = relu_backward(caches[ci], grad)
-        ci -= 1
-        grad, gw, gb = conv_backward(module.layers[li], caches[ci], grad)
-        ci -= 1
-        param_grads[li] = (gw, gb)
+    for i in range(len(module.layers) - 1, -1, -1):
+        grad, gw, gb = conv_backward(module.layers[i], caches[i], grad)
+        param_grads[i] = (gw, gb)
+        if i:
+            # layer i's input is the ReLU output, the cache relu_forward returned
+            grad = relu_backward(ReluCache(x=caches[i].x), grad)
     return grad, param_grads
 
 

@@ -1,11 +1,12 @@
 """Command-line surface: data generation, training, reconstruction,
 evaluation, and the gradient-check harness.
 
-Exit codes: 0 success, 1 check failure, 2 usage/input error (any unreadable
-or malformed checkpoint, image, manifest, mask file or
-``CASCADE_RECON_THREADS``, reported as one ``error:`` line by :func:`main`),
-3 training divergence. Every command is deterministic given its flags
-(single-worker mode); ``CASCADE_RECON_THREADS`` caps the evaluation worker count.
+Exit codes: 0 success, 1 check failure, 2 usage/input error (a bad flag
+value, or any unreadable or malformed checkpoint, image, manifest, mask file
+or ``CASCADE_RECON_THREADS``; commands raise, and only :func:`main` reports it
+as one ``error:`` line), 3 training divergence. Every command is deterministic
+given its flags; ``CASCADE_RECON_THREADS`` caps the evaluation worker count
+and does not change the results.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ MANIFEST_NAME = "manifest.txt"
 
 
 # --- shared helpers ---------------------------------------------------------
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 def read_manifest(data_dir: Path):
@@ -138,9 +134,9 @@ class EvalReport:
 
 def cmd_generate(args) -> int:
     if args.n < 1:
-        return _fail("--n must be >= 1")
+        raise InvalidParameterError("--n must be >= 1")
     if args.size < 4 or args.size % 2:
-        return _fail("--size must be even and >= 4")
+        raise InvalidParameterError("--size must be even and >= 4")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = PhantomSpec(height=args.size, width=args.size)
@@ -159,18 +155,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint_every < 0:
+        raise InvalidParameterError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     data_dir = Path(args.data)
     if not (data_dir / MANIFEST_NAME).is_file():
-        return _fail(f"no dataset manifest in {data_dir}")
+        raise InvalidParameterError(f"no dataset manifest in {data_dir}")
     _, images = _load_split(data_dir, "train")
     if not images:
-        return _fail("training split is empty")
+        raise InvalidParameterError("training split is empty")
 
     rng = Rng(args.seed)
     if args.init_checkpoint:
         model = cascade_mod.load_checkpoint(args.init_checkpoint)
         if (model.n_c, model.n_d, model.n_f, model.k) != (args.nc, args.nd, args.nf, args.k):
-            return _fail(
+            raise InvalidParameterError(
                 "--init-checkpoint hyperparameters "
                 f"(n_c={model.n_c}, n_d={model.n_d}, n_f={model.n_f}, k={model.k}) "
                 f"do not match requested (n_c={args.nc}, n_d={args.nd}, n_f={args.nf}, k={args.k})"
@@ -255,20 +253,18 @@ def cmd_evaluate(args) -> int:
     model = cascade_mod.load_checkpoint(args.checkpoint)
     data_dir = Path(args.data)
     if not (data_dir / MANIFEST_NAME).is_file():
-        return _fail(f"no dataset manifest in {data_dir}")
+        raise InvalidParameterError(f"no dataset manifest in {data_dir}")
     paths, images = _load_split(data_dir, args.split)
     if not images:
-        return _fail(f"split {args.split!r} is empty")
+        raise InvalidParameterError(f"split {args.split!r} is empty")
 
     masks = [
         _eval_mask(args.mask_seed, i, img, args.acceleration, args.n_low)
         for i, img in enumerate(images)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _timed_reconstruct(model, *t), zip(images, masks)))
-    else:
-        results = [_timed_reconstruct(model, img, mask) for img, mask in zip(images, masks)]
+    # map keeps input order, so the report does not depend on the worker count
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda t: _timed_reconstruct(model, *t), zip(images, masks)))
 
     report = EvalReport(
         model_id=Path(args.checkpoint).name,
@@ -400,7 +396,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, CheckpointFormatError, InvalidParameterError, InvalidShapeError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

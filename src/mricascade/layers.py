@@ -6,8 +6,9 @@ the residual connections and the data-consistency step require. Every
 correlation, forward or backward, copies only its thinner side k*k times: it
 gathers the shifted input into channel-major im2col columns when the input has
 no more channels than the output, and otherwise multiplies first and scatters
-the k*k shifted products back through col2im. The cache keeps only the layer
-input.
+the k*k shifted products back through col2im. The conv cache keeps only the
+layer input, and the ReLU cache only the ReLU output, which is positive exactly
+where the input is; inside a cascade block the two are the same array.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class ConvCache:
 
 @dataclass(eq=False)
 class ReluCache:
-    x: np.ndarray
+    x: np.ndarray  # the ReLU output, positive exactly where the ReLU input is
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
@@ -141,7 +142,8 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
 
 
 def relu_forward(x: np.ndarray):
-    return np.maximum(x, 0), ReluCache(x=x)
+    out = np.maximum(x, 0)
+    return out, ReluCache(x=out)
 
 
 def relu_backward(cache: ReluCache, grad_out: np.ndarray) -> np.ndarray:

@@ -30,17 +30,11 @@ class SamplingMask:
     phase_lines : np.ndarray
         Boolean vector of length ``height`` in unshifted k-space ordering
         (DC at index 0); True marks an acquired line.
-    acceleration : float, optional
-        Target acceleration factor the mask was generated for.
-    n_low : int, optional
-        Number of always-acquired lowest-frequency lines.
     """
 
     height: int
     width: int
     phase_lines: np.ndarray
-    acceleration: float | None = None
-    n_low: int | None = None
 
     def __post_init__(self):
         pl = np.asarray(self.phase_lines, dtype=bool)
@@ -59,7 +53,7 @@ class SamplingMask:
         return self.phase_lines.astype(dtype)
 
     @classmethod
-    def from_tensor(cls, values: np.ndarray, width: int, **meta) -> "SamplingMask":
+    def from_tensor(cls, values: np.ndarray, width: int) -> "SamplingMask":
         """Parse the 0/1 form; other values (NaN too) and empty masks are rejected."""
         values = np.asarray(values)
         if values.ndim != 1:
@@ -68,7 +62,7 @@ class SamplingMask:
             raise InvalidParameterError("mask tensor values must be 0 or 1")
         if not np.any(values):
             raise InvalidParameterError("mask tensor samples no line")
-        return cls(height=values.shape[0], width=width, phase_lines=values != 0, **meta)
+        return cls(height=values.shape[0], width=width, phase_lines=values != 0)
 
 
 def centered_offsets(height: int) -> np.ndarray:
@@ -99,11 +93,11 @@ def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low:
     Raises
     ------
     InvalidParameterError
-        If ``acceleration < 1`` or ``n_low`` exceeds the line budget.
+        If ``acceleration`` is below 1 or NaN, or ``n_low`` exceeds the line budget.
     """
     if height < 2 or height % 2:
         raise InvalidParameterError(f"height must be even and >= 2, got {height}")
-    if acceleration < 1:
+    if not acceleration >= 1:  # NaN too
         raise InvalidParameterError(f"acceleration must be >= 1, got {acceleration}")
     if n_low < 0:
         raise InvalidParameterError(f"n_low must be >= 0, got {n_low}")
@@ -127,13 +121,7 @@ def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low:
         )
         lines[chosen] = True
 
-    return SamplingMask(
-        height=height,
-        width=width,
-        phase_lines=lines,
-        acceleration=float(acceleration),
-        n_low=int(n_low),
-    )
+    return SamplingMask(height=height, width=width, phase_lines=lines)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,6 +45,12 @@ class TrainConfig:
             raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise InvalidParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.acceleration >= 1:
+            raise InvalidParameterError(f"acceleration must be >= 1, got {self.acceleration}")
+        if self.n_low < 0:
+            raise InvalidParameterError(f"n_low must be >= 0, got {self.n_low}")
 
 
 @dataclass

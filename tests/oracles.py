@@ -2,6 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths (and numpy.fft):
 plain loops implementing the defining formulas, so agreement is meaningful.
+The rest are copies of library code that a rewrite replaced, kept as
+old-vs-new equivalence references.
 """
 
 import cmath
@@ -9,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from mricascade.layers import ReluCache, conv_backward, conv_forward, relu_backward
 
 
 def naive_dft2(z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -108,3 +112,38 @@ def dct2_8x8_coefficients(image: np.ndarray) -> np.ndarray:
             block = image[bi : bi + n, bj : bj + n]
             coeffs.append((c @ block @ c.T).ravel())
     return np.concatenate(coeffs)
+
+
+# The interleaved cascade block from before a block kept one cache per layer:
+# a conv cache for every layer and, between layers, a ReLU cache holding the
+# pre-activation, walked backwards with a running index. The ReLU is inlined
+# as it was then (the cache holds its input); kept as the old-vs-new
+# equivalence reference for mricascade.cascade.module_forward/module_backward.
+
+
+def interleaved_module_forward(module, x: np.ndarray):
+    h = x
+    caches = []
+    for layer in module.layers[:-1]:
+        h, c = conv_forward(layer, h)
+        caches.append(c)
+        caches.append(ReluCache(x=h))
+        h = np.maximum(h, 0)
+    h, c = conv_forward(module.layers[-1], h)
+    caches.append(c)
+    return h, caches
+
+
+def interleaved_module_backward(module, caches: list, grad: np.ndarray):
+    param_grads = [None] * len(module.layers)
+    ci = len(caches) - 1
+    grad, gw, gb = conv_backward(module.layers[-1], caches[ci], grad)
+    param_grads[-1] = (gw, gb)
+    ci -= 1
+    for li in range(len(module.layers) - 2, -1, -1):
+        grad = relu_backward(caches[ci], grad)
+        ci -= 1
+        grad, gw, gb = conv_backward(module.layers[li], caches[ci], grad)
+        ci -= 1
+        param_grads[li] = (gw, gb)
+    return grad, param_grads

@@ -28,6 +28,7 @@ from mricascade import (
 from mricascade import cascade as cascade_mod
 from mricascade.cascade import module_forward
 from mricascade.gradcheck import check_cascade
+from oracles import interleaved_module_backward, interleaved_module_forward
 
 
 def problem(seed, h=16, w=16, acceleration=3.0, n_low=4, dtype=np.float64):
@@ -81,16 +82,43 @@ class TestInferenceMemory:
         _, meas, x_u = problem(3)
         _, cache = cascade_forward(model, x_u.astype(np.float32), meas)
         for stage, caches in zip(model.stages, cache.stage_caches):
-            conv_caches = caches[::2]
-            assert len(conv_caches) == len(stage.layers)
-            for layer, c in zip(stage.layers, conv_caches):
+            assert len(caches) == len(stage.layers) == model.n_d
+            for i, (layer, c) in enumerate(zip(stage.layers, caches)):
                 assert [f.name for f in fields(c)] == ["x"]
                 assert c.x.shape == (layer.n_in, 16, 16)
+                if i:
+                    # a ReLU output, not a pre-activation kept beside it
+                    assert c.x.min() >= 0
                 # no larger buffer (such as the [n_in*k*k, H*W] columns) is kept alive behind it
                 root = c.x
                 while root.base is not None:
                     root = root.base
                 assert root.nbytes == c.x.nbytes
+
+
+class TestOneCachePerLayer:
+    @pytest.mark.parametrize("n_d", [2, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_interleaved_block_bit_for_bit(self, monkeypatch, dtype, n_d):
+        truth, meas, x_u = problem(9, dtype=dtype)
+        model = build_model(Rng(n_d), n_c=2, n_d=n_d, n_f=6, dtype=dtype)
+        g_block = Rng(10).gen.standard_normal((2, 16, 16)).astype(dtype)
+
+        def run():
+            out, cache = cascade_forward(model, x_u, meas)
+            _, grad = mse_loss(out, truth)
+            block_grad_in, _ = cascade_mod.module_backward(
+                model.stages[0], cache.stage_caches[0], g_block
+            )
+            return [out.channels, block_grad_in, *cascade_backward(model, cache, grad)]
+
+        got = run()
+        monkeypatch.setattr(cascade_mod, "module_forward", interleaved_module_forward)
+        monkeypatch.setattr(cascade_mod, "module_backward", interleaved_module_backward)
+        expect = run()
+        assert len(got) == len(expect) == 2 + 2 * 2 * n_d
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
 
 class TestCascadeBackward:

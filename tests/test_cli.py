@@ -56,8 +56,9 @@ class TestGenerate:
         for path, _ in read_manifest(dataset):
             assert filecmp.cmp(path, again / path.name, shallow=False)
 
-    def test_zero_count_is_usage_error(self, tmp_path):
-        assert main(["generate", "--n", "0", "--out", str(tmp_path / "x")]) == 2
+    def test_zero_count_is_usage_error(self, tmp_path, capsys):
+        code = main(["generate", "--n", "0", "--out", str(tmp_path / "x")])
+        assert "--n must be >= 1" in assert_input_error(code, capsys)
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["generate", "--wat", "1"]) == 2
@@ -92,13 +93,14 @@ class TestTrain:
         assert (int(epoch), int(step)) == (0, 0)
         assert float(loss) > 0 and float(ms) > 0
 
-    def test_missing_data_is_input_error(self, tmp_path):
-        assert main(
+    def test_missing_data_is_input_error(self, tmp_path, capsys):
+        code = main(
             ["train", "--data", str(tmp_path / "nope"), "--epochs", "1", "--out",
              str(tmp_path / "m.csc1")]
-        ) == 2
+        )
+        assert "no dataset manifest" in assert_input_error(code, capsys)
 
-    def test_init_checkpoint_hyper_mismatch(self, dataset, tmp_path):
+    def test_init_checkpoint_hyper_mismatch(self, dataset, tmp_path, capsys):
         ckpt = tmp_path / "base.csc1"
         save_checkpoint(build_model(Rng(0), 2, 2, 4), ckpt)
         code = main(
@@ -106,7 +108,27 @@ class TestTrain:
              "--epochs", "1", "--out", str(tmp_path / "out.csc1"),
              "--init-checkpoint", str(ckpt)]
         )
-        assert code == 2
+        assert "do not match requested" in assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--epochs", "-3"], "epochs must be >= 0"),
+            (["--checkpoint-every", "-1"], "--checkpoint-every must be >= 0"),
+            (["--acceleration", "0.5"], "acceleration must be >= 1"),
+            (["--acceleration", "nan"], "acceleration must be >= 1"),
+            (["--n-low", "-1"], "n_low must be >= 0"),
+        ],
+        ids=["epochs", "checkpoint-every", "acceleration", "nan-acceleration", "n-low"],
+    )
+    def test_bad_count_is_input_error_and_writes_nothing(self, dataset, tmp_path, capsys, flags, message):
+        out = tmp_path / "run" / "m.csc1"
+        code = main(
+            ["train", "--data", str(dataset), "--nc", "1", "--nd", "2", "--nf", "2",
+             "--epochs", "1", "--out", str(out), *flags]
+        )
+        assert message in assert_input_error(code, capsys)
+        assert not out.parent.exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a finite training image at the float32 limit overflows the forward

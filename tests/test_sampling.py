@@ -55,6 +55,10 @@ class TestGenerateMask:
         with pytest.raises(InvalidParameterError):
             generate_mask(Rng(0), 64, 64, acceleration=0.5, n_low=8)
 
+    def test_rejects_nan_acceleration(self):
+        with pytest.raises(InvalidParameterError, match="acceleration must be >= 1"):
+            generate_mask(Rng(0), 64, 64, acceleration=float("nan"), n_low=8)
+
     @pytest.mark.parametrize("h,acc", [(64, 2.0), (64, 3.0), (64, 4.0), (128, 3.0), (96, 6.0)])
     def test_exact_line_budget(self, h, acc):
         for seed in range(5):
