@@ -39,7 +39,7 @@ from .layers import (
     relu_forward,
     residual_add,
 )
-from .sampling import Measurements, zero_filled
+from .sampling import Measurements
 from .tensorcore import ComplexImage, Rng, read_tensor, write_tensor
 
 # full-scale defaults
@@ -94,6 +94,20 @@ def _layer_channel_plan(n_d: int, n_f: int) -> list:
     return plan
 
 
+def _assemble(n_c: int, n_d: int, n_f: int, k: int, lam: float, make_layer) -> CascadeModel:
+    """Check the hyperparameters, then build every layer, stage by stage,
+    with ``make_layer(n_in, n_out)``."""
+    if n_c < 1:
+        raise InvalidParameterError(f"n_c must be >= 1, got {n_c}")
+    if n_d < 2:
+        raise InvalidParameterError(f"n_d must be >= 2, got {n_d}")
+    if n_f < 1:
+        raise InvalidParameterError(f"n_f must be >= 1, got {n_f}")
+    plan = _layer_channel_plan(n_d, n_f)
+    stages = [CnnModule([make_layer(n_in, n_out) for n_in, n_out in plan]) for _ in range(n_c)]
+    return CascadeModel(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)
+
+
 def build_model(
     rng: Rng,
     n_c: int,
@@ -104,29 +118,15 @@ def build_model(
     dtype=np.float32,
 ) -> CascadeModel:
     """He-initialized cascade with independent weights per stage."""
-    if n_c < 1:
-        raise InvalidParameterError(f"n_c must be >= 1, got {n_c}")
-    if n_d < 2:
-        raise InvalidParameterError(f"n_d must be >= 2, got {n_d}")
-    if n_f < 1:
-        raise InvalidParameterError(f"n_f must be >= 1, got {n_f}")
-    stages = []
-    for _ in range(n_c):
-        layers = [he_init(rng, n_out, n_in, k, dtype=dtype) for n_in, n_out in _layer_channel_plan(n_d, n_f)]
-        stages.append(CnnModule(layers))
-    return CascadeModel(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)
+    return _assemble(n_c, n_d, n_f, k, lam, lambda n_in, n_out: he_init(rng, n_out, n_in, k, dtype=dtype))
 
 
 def zero_model(n_c: int, n_d: int, n_f: int, k: int = 3, lam: float = math.inf, dtype=np.float32) -> CascadeModel:
     """All-parameters-zero cascade (identity behaviour on consistent inputs)."""
-    stages = []
-    for _ in range(n_c):
-        layers = [
-            ConvLayer(np.zeros((n_out, n_in, k, k), dtype=dtype), np.zeros(n_out, dtype=dtype))
-            for n_in, n_out in _layer_channel_plan(n_d, n_f)
-        ]
-        stages.append(CnnModule(layers))
-    return CascadeModel(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)
+    return _assemble(
+        n_c, n_d, n_f, k, lam,
+        lambda n_in, n_out: ConvLayer(np.zeros((n_out, n_in, k, k), dtype=dtype), np.zeros(n_out, dtype=dtype)),
+    )
 
 
 def module_forward(module: CnnModule, x: np.ndarray):
@@ -161,20 +161,15 @@ class CascadeCache:
     layer_shapes: list  # weight shapes, for stale-cache detection
 
 
-def cascade_forward(model: CascadeModel, x_u: ComplexImage, meas: Measurements):
-    """Run the cascade from the starting image ``x_u``, normally
-    ``zero_filled(meas)``.
+def cascade_forward(model: CascadeModel, meas: Measurements):
+    """Run the cascade from the zero-filled image ``DcConfig.zero_fill``,
+    cast to the model's precision.
 
-    Returns the reconstruction and the cache for :func:`cascade_backward`.
+    Returns the reconstruction and the cache for :func:`cascade_backward`;
+    ``cache.cfg.zero_fill`` is the starting image.
     """
-    if (x_u.height, x_u.width) != (meas.mask.height, meas.mask.width):
-        raise InvalidShapeError(
-            f"image is {x_u.height}x{x_u.width} but measurements are "
-            f"{meas.mask.height}x{meas.mask.width}"
-        )
-
     cfg = DcConfig(measured=meas, lam=model.lam)
-    x = x_u
+    x = cfg.zero_fill.astype(model.dtype)
     stage_caches = []
     for stage in model.stages:
         h, caches = module_forward(stage, x.channels)
@@ -251,7 +246,7 @@ def save_checkpoint(model: CascadeModel, path) -> None:
             f.write(struct.pack("<d", 0.0 if model.lam == math.inf else model.lam))
             f.write(struct.pack("<4I", model.n_c, model.n_d, model.n_f, model.k))
             f.write(struct.pack("<I", len(params)))
-            for name, arr in zip(names, params):
+            for name, arr in zip(names, params, strict=True):
                 raw = name.encode("utf-8")
                 f.write(struct.pack("<H", len(raw)))
                 f.write(raw)
@@ -330,6 +325,4 @@ def load_checkpoint(path) -> CascadeModel:
 
 def reconstruct(model: CascadeModel, meas: Measurements) -> ComplexImage:
     """Zero-fill and run the cascade (the inference entry point)."""
-    x_u = zero_filled(meas).astype(model.dtype)
-    x_cnn, _ = cascade_forward(model, x_u, meas)
-    return x_cnn
+    return cascade_forward(model, meas)[0]

@@ -1,29 +1,32 @@
 """Data-consistency layer: restore measured k-space coefficients.
 
-The forward pass transforms the input image to k-space, blends every sampled
-coefficient with its measured value, and transforms back:
+On a sampled line the layer blends each coefficient of the input's k-space
+with its measured value, ``k <- (k + lam * y) / (1 + lam)``, and leaves every
+other coefficient unchanged. With ``w = lam / (1 + lam)`` (``w = 1`` for the
+noiseless mode ``lam = inf``, where sampled coefficients are replaced by the
+measurements outright) that is the paper's form
 
-    on a sampled line:   k <- (k + lam * y) / (1 + lam)
-    elsewhere:           k unchanged
+    dc(x) = F^H D F x + w * F_u^H y,    D = 1 - w on sampled lines, 1 elsewhere
 
-``lam = inf`` is the noiseless mode: sampled coefficients are replaced by the
-measurements outright (no large-lambda approximation, no precision loss).
+a fixed linear map plus a scaled copy of the zero-filled image ``F_u^H y``.
 The layer has no trainable parameters. Its Jacobian with respect to the input
-is the fixed linear map ifft2 . diag(weights) . fft2; under the orthonormal
-transform convention that map is self-adjoint, so the backward pass applies
-the same operator to the upstream gradient, treating the two channels as one
-complex field. The measurements are per-sample constants and receive no
-gradient.
+is the linear part ``F^H D F``; under the orthonormal transform convention
+that map is self-adjoint, so the backward pass applies it to the upstream
+gradient, treating the two channels as one complex field. The measurements
+are per-sample constants and receive no gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidParameterError, InvalidShapeError
 from .fourier import fft2_complex
-from .sampling import Measurements, SamplingMask
+from .sampling import Measurements, SamplingMask, zero_filled
 from .tensorcore import ComplexImage
 
 
@@ -47,38 +50,37 @@ class DcConfig:
         return self.measured.mask
 
     @property
-    def infinite(self) -> bool:
-        return self.lam == math.inf
+    def weight(self) -> float:
+        """Share of a sampled coefficient taken from the measurement."""
+        return 1.0 if self.lam == math.inf else self.lam / (1.0 + self.lam)
+
+    @cached_property
+    def zero_fill(self) -> ComplexImage:
+        """The zero-filled image ``F_u^H y``, computed on first read."""
+        return zero_filled(self.measured)
+
+    @cached_property
+    def _measured_part(self) -> np.ndarray:
+        return self.weight * self.zero_fill.to_complex()
 
 
-def _check_shapes(img: ComplexImage, cfg: DcConfig) -> None:
+def _jacobian(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
+    """``F^H D F img`` as a complex128 array: sampled lines scaled by 1 - w."""
     if (img.height, img.width) != (cfg.mask.height, cfg.mask.width):
         raise InvalidShapeError(
             f"image is {img.height}x{img.width} but mask is "
             f"{cfg.mask.height}x{cfg.mask.width}"
         )
+    k = fft2_complex(img.to_complex())
+    k[cfg.mask.phase_lines, :] *= 1.0 - cfg.weight
+    return fft2_complex(k, inverse=True)
 
 
 def dc_forward(x: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Blend the k-space of x with the measurements on the sampled set."""
-    _check_shapes(x, cfg)
-    k = fft2_complex(x.to_complex())
-    lines = cfg.mask.phase_lines
-    y = cfg.measured.kspace.to_complex()
-    if cfg.infinite:
-        k[lines, :] = y[lines, :]
-    else:
-        k[lines, :] = (k[lines, :] + cfg.lam * y[lines, :]) / (1.0 + cfg.lam)
-    return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=x.dtype)
+    return ComplexImage.from_complex(_jacobian(x, cfg) + cfg._measured_part, dtype=x.dtype)
 
 
 def dc_backward(grad_out: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Apply the layer's (constant, self-adjoint) Jacobian to the gradient."""
-    _check_shapes(grad_out, cfg)
-    k = fft2_complex(grad_out.to_complex())
-    lines = cfg.mask.phase_lines
-    if cfg.infinite:
-        k[lines, :] = 0.0
-    else:
-        k[lines, :] /= 1.0 + cfg.lam
-    return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=grad_out.dtype)
+    return ComplexImage.from_complex(_jacobian(grad_out, cfg), dtype=grad_out.dtype)

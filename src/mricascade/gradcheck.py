@@ -20,7 +20,7 @@ import numpy as np
 from .cascade import build_model, cascade_backward, cascade_forward
 from .dclayer import DcConfig, dc_backward, dc_forward
 from .layers import ConvLayer, conv_backward, conv_forward, he_init, relu_backward, relu_forward
-from .sampling import apply_encoding, generate_mask, zero_filled
+from .sampling import apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng
 from .training import mse_loss
 
@@ -188,17 +188,16 @@ def check_cascade(
     truth = ComplexImage(rng.gen.standard_normal((2, size, size)))
     mask = generate_mask(rng.child(1), size, size, acceleration=3.0, n_low=4)
     meas = apply_encoding(truth, mask)
-    x_u = zero_filled(meas)
 
     params = model.parameters()
-    x_cnn, cache = cascade_forward(model, x_u, meas)
+    x_cnn, cache = cascade_forward(model, meas)
     _, loss_grad = mse_loss(x_cnn, truth)
     grads = cascade_backward(model, cache, loss_grad)
     if corrupt == "cascade_params":
         grads = [g * 1.001 for g in grads]
 
     def full_loss():
-        out, _ = cascade_forward(model, x_u, meas)
+        out, _ = cascade_forward(model, meas)
         return mse_loss(out, truth)[0]
 
     # compare a random subsample of parameter coordinates, spread over stages

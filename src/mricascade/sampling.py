@@ -93,7 +93,8 @@ def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low:
     Raises
     ------
     InvalidParameterError
-        If ``acceleration`` is below 1 or NaN, or ``n_low`` exceeds the line budget.
+        If ``acceleration`` is below 1 or NaN, the line budget is below 1, or
+        ``n_low`` exceeds the line budget.
     """
     if height < 2 or height % 2:
         raise InvalidParameterError(f"height must be even and >= 2, got {height}")
@@ -102,6 +103,8 @@ def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low:
     if n_low < 0:
         raise InvalidParameterError(f"n_low must be >= 0, got {n_low}")
     budget = int(round(height / acceleration))
+    if budget < 1:
+        raise InvalidParameterError(f"the line budget round({height}/{acceleration})={budget} samples no line")
     if n_low > budget:
         raise InvalidParameterError(
             f"n_low={n_low} exceeds the line budget round({height}/{acceleration})={budget}"

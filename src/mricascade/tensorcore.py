@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidShapeError
 
 DEFAULT_DTYPE = np.float32
-VERIFY_DTYPE = np.float64
 
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cascade import CascadeModel, cascade_backward, cascade_forward
 from .errors import InvalidParameterError, InvalidShapeError, TrainingDivergedError
-from .sampling import apply_encoding, generate_mask, zero_filled
+from .sampling import apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng
 
 MAX_AUGMENT_SHIFT = 4
@@ -159,8 +159,7 @@ def train_epoch(
                 x_t = augment(rng, x_t)
             mask = generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)
             meas = apply_encoding(x_t, mask)
-            x_u = zero_filled(meas)
-            x_cnn, cache = cascade_forward(model, x_u, meas)
+            x_cnn, cache = cascade_forward(model, meas)
             loss, grad = mse_loss(x_cnn, x_t)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

@@ -7,12 +7,15 @@ old-vs-new equivalence references.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mricascade.fourier import fft2_complex
 from mricascade.layers import ReluCache, conv_backward, conv_forward, relu_backward
+from mricascade.tensorcore import ComplexImage
 
 
 def naive_dft2(z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -147,3 +150,30 @@ def interleaved_module_backward(module, caches: list, grad: np.ndarray):
         ci -= 1
         param_grads[li] = (gw, gb)
     return grad, param_grads
+
+
+# The data-consistency layer from before it was written as its Jacobian plus
+# the weighted zero-fill: each pass replaces (or blends) the sampled k-space
+# lines with the measurements, in a noiseless and a finite-lambda branch.
+# Kept as the old-vs-new equivalence reference for mricascade.dclayer.
+
+
+def line_replacement_dc_forward(x, cfg):
+    k = fft2_complex(x.to_complex())
+    lines = cfg.mask.phase_lines
+    y = cfg.measured.kspace.to_complex()
+    if cfg.lam == math.inf:
+        k[lines, :] = y[lines, :]
+    else:
+        k[lines, :] = (k[lines, :] + cfg.lam * y[lines, :]) / (1.0 + cfg.lam)
+    return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=x.dtype)
+
+
+def line_replacement_dc_backward(grad_out, cfg):
+    k = fft2_complex(grad_out.to_complex())
+    lines = cfg.mask.phase_lines
+    if cfg.lam == math.inf:
+        k[lines, :] = 0.0
+    else:
+        k[lines, :] /= 1.0 + cfg.lam
+    return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=grad_out.dtype)

@@ -9,6 +9,7 @@ from mricascade import (
     CheckpointFormatError,
     ComplexImage,
     DcConfig,
+    InvalidParameterError,
     InvalidStateError,
     Rng,
     apply_encoding,
@@ -20,6 +21,7 @@ from mricascade import (
     generate_mask,
     load_checkpoint,
     mse_loss,
+    reconstruct,
     residual_add,
     save_checkpoint,
     zero_filled,
@@ -28,7 +30,12 @@ from mricascade import (
 from mricascade import cascade as cascade_mod
 from mricascade.cascade import module_forward
 from mricascade.gradcheck import check_cascade
-from oracles import interleaved_module_backward, interleaved_module_forward
+from oracles import (
+    interleaved_module_backward,
+    interleaved_module_forward,
+    line_replacement_dc_backward,
+    line_replacement_dc_forward,
+)
 
 
 def problem(seed, h=16, w=16, acceleration=3.0, n_low=4, dtype=np.float64):
@@ -42,13 +49,13 @@ class TestCascadeForward:
     def test_zeroed_network_is_identity_on_consistent_input(self):
         _, meas, x_u = problem(0)
         model = zero_model(3, 3, 8, dtype=np.float64)
-        out, _ = cascade_forward(model, x_u, meas)
+        out, _ = cascade_forward(model, meas)
         assert np.max(np.abs(out.channels - x_u.channels)) < 1e-13
 
     def test_single_stage_equals_manual_composition(self):
         _, meas, x_u = problem(1)
         model = build_model(Rng(5), n_c=1, n_d=3, n_f=4, dtype=np.float64)
-        out, _ = cascade_forward(model, x_u, meas)
+        out, _ = cascade_forward(model, meas)
         h, _ = module_forward(model.stages[0], x_u.channels)
         manual = dc_forward(
             residual_add(ComplexImage(h), x_u), DcConfig(measured=meas, lam=model.lam)
@@ -59,20 +66,55 @@ class TestCascadeForward:
         truth = ComplexImage(Rng(2).gen.standard_normal((2, 16, 16)))
         mask = generate_mask(Rng(3), 16, 16, 1.0, 4)
         meas = apply_encoding(truth, mask)
-        x_u = zero_filled(meas)
         model = zero_model(2, 3, 8, dtype=np.float64)
-        out, _ = cascade_forward(model, x_u, meas)
+        out, _ = cascade_forward(model, meas)
         assert np.max(np.abs(out.channels - truth.channels)) < 1e-12
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-4)])
     def test_final_output_hard_consistent(self, dtype, tol):
         truth, meas, x_u = problem(4, dtype=dtype)
         model = build_model(Rng(6), n_c=2, n_d=3, n_f=6, dtype=dtype)
-        out, _ = cascade_forward(model, x_u, meas)
+        out, _ = cascade_forward(model, meas)
         k_out = fft2(out).to_complex()
         k_meas = meas.kspace.to_complex()
         on = meas.mask.phase_lines
         assert np.max(np.abs(k_out[on] - k_meas[on])) < tol
+
+
+class TestOneZeroFill:
+    def test_forward_zero_fills_once(self, zero_filled_calls):
+        _, meas, _ = problem(10)
+        model = build_model(Rng(0), n_c=3, n_d=2, n_f=4, dtype=np.float64)
+        out, cache = cascade_forward(model, meas)
+        assert zero_filled_calls == [meas]
+        cascade_backward(model, cache, out)
+        reconstruct(model, meas)
+        assert len(zero_filled_calls) == 2
+
+    @pytest.mark.parametrize("lam", [math.inf, 2.0])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+    def test_matches_line_replacement_dc(self, monkeypatch, lam, dtype, tol):
+        truth, meas, _ = problem(11, dtype=dtype)
+        model = build_model(Rng(12), n_c=3, n_d=3, n_f=6, lam=lam, dtype=dtype)
+
+        def run():
+            out, cache = cascade_forward(model, meas)
+            _, grad = mse_loss(out, truth)
+            return out.channels, cascade_backward(model, cache, grad)
+
+        got_out, got_grads = run()
+        monkeypatch.setattr(cascade_mod, "dc_forward", line_replacement_dc_forward)
+        monkeypatch.setattr(cascade_mod, "dc_backward", line_replacement_dc_backward)
+        expect_out, expect_grads = run()
+        assert got_out.dtype == dtype
+        assert np.max(np.abs(got_out - expect_out)) <= tol * np.max(np.abs(expect_out))
+        # relative to the largest gradient entry: with lam = inf the last bias
+        # gradient is roundoff, since a constant image lives on the sampled DC line
+        scale = max(np.max(np.abs(g)) for g in expect_grads)
+        assert len(got_grads) == len(expect_grads) == 2 * 3 * 3
+        for a, b in zip(got_grads, expect_grads):
+            assert a.dtype == b.dtype == dtype
+            assert np.max(np.abs(a - b)) <= tol * scale
 
 
 class TestInferenceMemory:
@@ -80,7 +122,7 @@ class TestInferenceMemory:
         # full-scale layer widths; the 16x16 size keeps the test fast
         model = build_model(Rng(0), n_c=2, n_d=5, n_f=64)
         _, meas, x_u = problem(3)
-        _, cache = cascade_forward(model, x_u.astype(np.float32), meas)
+        _, cache = cascade_forward(model, meas)
         for stage, caches in zip(model.stages, cache.stage_caches):
             assert len(caches) == len(stage.layers) == model.n_d
             for i, (layer, c) in enumerate(zip(stage.layers, caches)):
@@ -105,7 +147,7 @@ class TestOneCachePerLayer:
         g_block = Rng(10).gen.standard_normal((2, 16, 16)).astype(dtype)
 
         def run():
-            out, cache = cascade_forward(model, x_u, meas)
+            out, cache = cascade_forward(model, meas)
             _, grad = mse_loss(out, truth)
             block_grad_in, _ = cascade_mod.module_backward(
                 model.stages[0], cache.stage_caches[0], g_block
@@ -129,14 +171,14 @@ class TestCascadeBackward:
     def test_zero_upstream_gradient(self):
         _, meas, x_u = problem(5)
         model = build_model(Rng(7), n_c=2, n_d=3, n_f=4, dtype=np.float64)
-        out, cache = cascade_forward(model, x_u, meas)
+        out, cache = cascade_forward(model, meas)
         grads = cascade_backward(model, cache, ComplexImage.zeros(16, 16, dtype=np.float64))
         assert all(np.all(g == 0) for g in grads)
 
     def test_gradients_reach_every_stage(self):
         truth, meas, x_u = problem(6)
         model = build_model(Rng(8), n_c=2, n_d=3, n_f=4, dtype=np.float64)
-        out, cache = cascade_forward(model, x_u, meas)
+        out, cache = cascade_forward(model, meas)
         _, grad = mse_loss(out, truth)
         grads = cascade_backward(model, cache, grad)
         per_stage = len(grads) // 2
@@ -148,7 +190,7 @@ class TestCascadeBackward:
         _, meas, x_u = problem(7)
         model_a = build_model(Rng(9), n_c=2, n_d=3, n_f=4, dtype=np.float64)
         model_b = build_model(Rng(10), n_c=2, n_d=3, n_f=8, dtype=np.float64)
-        out, cache = cascade_forward(model_a, x_u, meas)
+        out, cache = cascade_forward(model_a, meas)
         _, grad = mse_loss(out, out)
         with pytest.raises(InvalidStateError):
             cascade_backward(model_b, cache, grad)
@@ -156,9 +198,23 @@ class TestCascadeBackward:
     def test_mismatched_grad_shape_rejected(self):
         _, meas, x_u = problem(8)
         model = build_model(Rng(11), n_c=1, n_d=2, n_f=4, dtype=np.float64)
-        _, cache = cascade_forward(model, x_u, meas)
+        _, cache = cascade_forward(model, meas)
         with pytest.raises(InvalidStateError):
             cascade_backward(model, cache, ComplexImage.zeros(8, 8, dtype=np.float64))
+
+
+class TestModelBuilders:
+    @pytest.mark.parametrize("n_c,n_d,n_f", [(0, 3, 4), (1, 1, 4), (1, 2, 0)], ids=["n_c", "n_d", "n_f"])
+    @pytest.mark.parametrize("builder", ["build_model", "zero_model"])
+    def test_rejects_bad_hyperparameters(self, builder, n_c, n_d, n_f):
+        make = {"build_model": lambda *a: build_model(Rng(0), *a), "zero_model": zero_model}[builder]
+        with pytest.raises(InvalidParameterError):
+            make(n_c, n_d, n_f)
+
+    def test_zero_model_has_build_model_layout(self):
+        zero, built = zero_model(2, 3, 5), build_model(Rng(0), 2, 3, 5)
+        assert [p.shape for p in zero.parameters()] == [p.shape for p in built.parameters()]
+        assert not any(np.any(p) for p in zero.parameters())
 
 
 class TestCheckpoint:
@@ -208,6 +264,18 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(build_model(Rng(1), 1, 2, 2), path)
         assert len(written) == 1
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csc1"]
+
+    @pytest.mark.parametrize("n_d", [1, 3])
+    def test_hyperparameters_disagreeing_with_layers_keep_existing_checkpoint(self, tmp_path, n_d):
+        path = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
+        before = path.read_bytes()
+        model = build_model(Rng(1), 1, 2, 2)
+        model.n_d = n_d
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csc1"]
 

@@ -306,6 +306,16 @@ class TestEvaluateParallel:
         assert reports["1"] == reports["3"]
         assert (tmp_path / "r1.csv.txt").read_text().startswith("model:")
 
+    def test_one_zero_fill_per_image(self, dataset, tmp_path, capsys, zero_filled_calls):
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(3), 1, 2, 4), ckpt)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", "train",
+                     "--acceleration", "3", "--n-low", "4"])
+        assert code == 0
+        capsys.readouterr()
+        n_train = sum(s == "train" for _, s in read_manifest(dataset))
+        assert len(zero_filled_calls) == n_train == 5
+
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_worker_count_is_input_error(self, dataset, tmp_path, capsys, monkeypatch, workers):
         ckpt = tmp_path / "zero.csc1"
@@ -400,6 +410,24 @@ class TestInputErrors:
         else:
             argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]
         assert names in assert_input_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "train"])
+    def test_empty_line_budget_is_input_error(self, dataset, tmp_path, capsys, command):
+        # round(32 / 100) == 0 lines: nothing would be measured
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        out = tmp_path / "out"
+        mask_flags = ["--acceleration", "100", "--n-low", "0"]
+        argv = {
+            "reconstruct": ["reconstruct", "--checkpoint", str(ckpt), "--image",
+                            str(read_manifest(dataset)[0][0]), "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset),
+                         "--out-report", str(out / "report.csv")],
+            "train": ["train", "--data", str(dataset), "--nc", "1", "--nd", "2", "--nf", "2",
+                      "--epochs", "1", "--out", str(out / "m.csc1")],
+        }[command]
+        assert "samples no line" in assert_input_error(main(argv + mask_flags), capsys)
+        assert not [p for ext in ("cxt", "csv", "csc1") for p in out.glob(f"*.{ext}")]
 
 
 class TestByteCorruption:

@@ -20,6 +20,7 @@ from mricascade import (
 )
 from mricascade.fourier import KSpace
 from mricascade.gradcheck import check_dclayer
+from oracles import line_replacement_dc_backward, line_replacement_dc_forward
 
 
 def random_image(seed, h=8, w=8):
@@ -164,3 +165,40 @@ class TestDcProperties:
         cfg_big = DcConfig(measured=base.measured, lam=1e6)
         out_big = dc_forward(x, cfg_big).channels
         assert np.max(np.abs(out_big - out_inf)) < 1e-5
+
+
+def mask_of(kind, h, w):
+    if kind == "empty":
+        return SamplingMask(h, w, np.zeros(h, dtype=bool))
+    if kind == "full":
+        return SamplingMask(h, w, np.ones(h, dtype=bool))
+    return generate_mask(Rng(h * w), h, w, 2.0, 2)
+
+
+class TestJacobianPlusZeroFill:
+    def test_weight(self):
+        assert make_cfg(lam=math.inf).weight == 1.0
+        assert make_cfg(lam=2.0).weight == 2.0 / 3.0
+
+    @pytest.mark.parametrize("lam", [math.inf, 2.0])
+    def test_zero_fill_is_cached(self, lam, zero_filled_calls):
+        cfg = make_cfg(seed=20, lam=lam)
+        x = random_image(21)
+        dc_forward(x, cfg)
+        dc_forward(x, cfg)
+        dc_backward(x, cfg)
+        assert cfg.zero_fill is cfg.zero_fill
+        assert np.array_equal(cfg.zero_fill.channels, zero_filled(cfg.measured).channels)
+        assert zero_filled_calls == [cfg.measured]
+
+    @pytest.mark.parametrize("h,w", [(8, 8), (16, 16), (12, 20)])
+    @pytest.mark.parametrize("kind", ["empty", "full", "random"])
+    @pytest.mark.parametrize("lam", [math.inf, 2.0, 1e6])
+    def test_matches_line_replacement(self, lam, kind, h, w):
+        truth = random_image(30, h, w)
+        cfg = DcConfig(measured=apply_encoding(truth, mask_of(kind, h, w)), lam=lam)
+        x = random_image(31, h, w)
+        for new, old in ((dc_forward, line_replacement_dc_forward), (dc_backward, line_replacement_dc_backward)):
+            got, expect = new(x, cfg).channels, old(x, cfg).channels
+            scale = max(np.max(np.abs(expect)), np.max(np.abs(x.channels)))
+            assert np.max(np.abs(got - expect)) <= 1e-14 * scale, new.__name__

@@ -59,6 +59,15 @@ class TestGenerateMask:
         with pytest.raises(InvalidParameterError, match="acceleration must be >= 1"):
             generate_mask(Rng(0), 64, 64, acceleration=float("nan"), n_low=8)
 
+    @pytest.mark.parametrize("acc", [100.0, 33.0, float("inf")])
+    def test_rejects_empty_line_budget(self, acc):
+        # round(16 / acc) == 0: a mask that samples no line measures nothing
+        with pytest.raises(InvalidParameterError, match="samples no line"):
+            generate_mask(Rng(0), 16, 16, acceleration=acc, n_low=0)
+
+    def test_one_line_budget_is_accepted(self):
+        assert generate_mask(Rng(0), 16, 16, acceleration=16.0, n_low=0).line_count == 1
+
     @pytest.mark.parametrize("h,acc", [(64, 2.0), (64, 3.0), (64, 4.0), (128, 3.0), (96, 6.0)])
     def test_exact_line_budget(self, h, acc):
         for seed in range(5):
