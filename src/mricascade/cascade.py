@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dclayer import DcConfig, dc_backward, dc_forward
+from .dclayer import DcConfig, check_lam, dc_backward, dc_forward
 from .errors import (
     CheckpointFormatError,
     InvalidParameterError,
@@ -57,12 +57,27 @@ class CnnModule:
 
 @dataclass(eq=False)
 class CascadeModel:
+    """The stages and the DC fidelity weight ``lam``; n_c, n_d, n_f and k
+    are read off the layers, so they cannot disagree with them."""
+
     stages: list
-    n_c: int
-    n_d: int
-    n_f: int
-    k: int
     lam: float = math.inf
+
+    @property
+    def n_c(self) -> int:
+        return len(self.stages)
+
+    @property
+    def n_d(self) -> int:
+        return len(self.stages[0].layers)
+
+    @property
+    def n_f(self) -> int:
+        return self.stages[0].layers[0].n_out
+
+    @property
+    def k(self) -> int:
+        return self.stages[0].layers[0].kernel_size
 
     def parameters(self) -> list:
         """All trainable arrays, in checkpoint order: per stage, per layer,
@@ -81,31 +96,19 @@ class CascadeModel:
     def dtype(self):
         return self.stages[0].layers[0].weights.dtype
 
-    def astype(self, dtype) -> "CascadeModel":
-        stages = [CnnModule([layer.astype(dtype) for layer in s.layers]) for s in self.stages]
-        return CascadeModel(stages, self.n_c, self.n_d, self.n_f, self.k, self.lam)
-
-
-def _layer_channel_plan(n_d: int, n_f: int) -> list:
-    # (n_in, n_out) per conv layer: 2 -> n_f, n_f -> n_f ..., n_f -> 2
-    plan = [(2, n_f)]
-    plan += [(n_f, n_f)] * (n_d - 2)
-    plan.append((n_f, 2))
-    return plan
-
 
 def _assemble(n_c: int, n_d: int, n_f: int, k: int, lam: float, make_layer) -> CascadeModel:
-    """Check the hyperparameters, then build every layer, stage by stage,
-    with ``make_layer(n_in, n_out)``."""
-    if n_c < 1:
-        raise InvalidParameterError(f"n_c must be >= 1, got {n_c}")
-    if n_d < 2:
-        raise InvalidParameterError(f"n_d must be >= 2, got {n_d}")
-    if n_f < 1:
-        raise InvalidParameterError(f"n_f must be >= 1, got {n_f}")
-    plan = _layer_channel_plan(n_d, n_f)
+    """The one place a model is built: check the hyperparameters, then make
+    every layer in checkpoint order with ``make_layer(n_in, n_out)``."""
+    for name, value, low in (("n_c", n_c, 1), ("n_d", n_d, 2), ("n_f", n_f, 1), ("k", k, 1)):
+        if value < low:
+            raise InvalidParameterError(f"{name} must be >= {low}, got {value}")
+    if k % 2 == 0:
+        raise InvalidParameterError(f"k must be odd, got {k}")
+    check_lam(lam)
+    plan = [(2, n_f)] + [(n_f, n_f)] * (n_d - 2) + [(n_f, 2)]
     stages = [CnnModule([make_layer(n_in, n_out) for n_in, n_out in plan]) for _ in range(n_c)]
-    return CascadeModel(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)
+    return CascadeModel(stages, lam)
 
 
 def build_model(
@@ -226,18 +229,18 @@ _CKPT_MAGIC = b"CSC1"
 _CKPT_VERSION = 1
 
 
-def _tensor_names(n_c: int, n_d: int):
+def _tensor_records(n_c: int, n_d: int):
+    """(name, u16 name length + name bytes) per tensor, in CSC1 order."""
     for s in range(n_c):
         for i in range(n_d):
-            yield f"stage{s}.conv{i}.weight"
-            yield f"stage{s}.conv{i}.bias"
+            for name in (f"stage{s}.conv{i}.weight", f"stage{s}.conv{i}.bias"):
+                yield name, struct.pack("<H", len(name)) + name.encode()
 
 
 def save_checkpoint(model: CascadeModel, path) -> None:
     """Write a CSC1 file to a temp file beside ``path``, then rename it over
     ``path``: a failed write leaves any existing checkpoint there intact."""
     params = model.parameters()
-    names = list(_tensor_names(model.n_c, model.n_d))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -246,10 +249,8 @@ def save_checkpoint(model: CascadeModel, path) -> None:
             f.write(struct.pack("<d", 0.0 if model.lam == math.inf else model.lam))
             f.write(struct.pack("<4I", model.n_c, model.n_d, model.n_f, model.k))
             f.write(struct.pack("<I", len(params)))
-            for name, arr in zip(names, params, strict=True):
-                raw = name.encode("utf-8")
-                f.write(struct.pack("<H", len(raw)))
-                f.write(raw)
+            for (_, record), arr in zip(_tensor_records(model.n_c, model.n_d), params, strict=True):
+                f.write(record)
                 write_tensor(f, arr)
         os.replace(tmp, path)
     except BaseException:
@@ -266,7 +267,9 @@ def _read_exact(f, n: int, path) -> bytes:
 
 
 def load_checkpoint(path) -> CascadeModel:
-    """Read a CSC1 file; malformed content raises CheckpointFormatError."""
+    """Read a CSC1 file through the builders' checks; the tensors must come in
+    ``stage{s}.conv{i}.weight|bias`` order. Malformed content raises
+    CheckpointFormatError naming ``path``."""
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise CheckpointFormatError(f"{path}: not a cascade checkpoint (bad magic)")
@@ -274,53 +277,43 @@ def load_checkpoint(path) -> CascadeModel:
         if version != _CKPT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
         (lam_value,) = struct.unpack("<d", _read_exact(f, 8, path))
-        if lam_mode not in (0, 1) or (lam_mode == 0 and not 0 < lam_value < math.inf):
-            raise CheckpointFormatError(
-                f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})"
-            )
+        if lam_mode not in (0, 1):
+            raise CheckpointFormatError(f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})")
         n_c, n_d, n_f, k = struct.unpack("<4I", _read_exact(f, 16, path))
         (count,) = struct.unpack("<I", _read_exact(f, 4, path))
-        if n_c < 1 or n_d < 2 or count != 2 * n_c * n_d:
+        if count != 2 * n_c * n_d:
             raise CheckpointFormatError(
                 f"{path}: inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})"
             )
-        tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path))
-            try:
-                name = _read_exact(f, name_len, path).decode("utf-8")
-                tensors[name] = read_tensor(f)
-            except (UnicodeDecodeError, InvalidParameterError, InvalidShapeError) as exc:
-                raise CheckpointFormatError(f"{path}: {exc}") from exc
-            if not np.isfinite(tensors[name]).all():
+        # checked before _assemble plans n_c * n_d layers: a tensor takes at
+        # least 12 bytes (u16 name length, CXT1 magic, code, rank, one dim)
+        if 12 * count > os.fstat(f.fileno()).st_size - f.tell():
+            raise CheckpointFormatError(f"{path}: truncated checkpoint ({count} tensors in header)")
+        records = _tensor_records(n_c, n_d)
+
+        def read_next(shape) -> np.ndarray:
+            name, record = next(records)
+            if _read_exact(f, len(record), path) != record:
+                raise CheckpointFormatError(f"{path}: expected tensor {name} next")
+            arr = read_tensor(f)
+            if arr.shape != shape:
+                raise CheckpointFormatError(f"{path}: {name} has shape {arr.shape}, the header gives {shape}")
+            if not np.isfinite(arr).all():
                 raise CheckpointFormatError(f"{path}: tensor {name} has non-finite values")
+            return arr
+
+        def make_layer(n_in: int, n_out: int) -> ConvLayer:
+            return ConvLayer(read_next((n_out, n_in, k, k)), read_next((n_out,)))
+
+        try:
+            model = _assemble(n_c, n_d, n_f, k, math.inf if lam_mode == 1 else lam_value, make_layer)
+        except (InvalidParameterError, InvalidShapeError) as exc:
+            raise CheckpointFormatError(f"{path}: {exc}") from exc
         if f.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after last tensor")
-
-    lam = math.inf if lam_mode == 1 else lam_value
-    plan = _layer_channel_plan(n_d, n_f)
-    stages = []
-    dtype = None
-    for s in range(n_c):
-        layers = []
-        for i, (n_in, n_out) in enumerate(plan):
-            try:
-                w = tensors[f"stage{s}.conv{i}.weight"]
-                b = tensors[f"stage{s}.conv{i}.bias"]
-            except KeyError as exc:
-                raise CheckpointFormatError(f"{path}: missing tensor {exc}") from exc
-            if w.shape != (n_out, n_in, k, k) or b.shape != (n_out,):
-                raise CheckpointFormatError(
-                    f"{path}: stage{s}.conv{i} has shape {w.shape}, "
-                    f"expected {(n_out, n_in, k, k)} for header hyperparameters"
-                )
-            if dtype is None:
-                dtype = w.dtype
-            elif w.dtype != dtype or b.dtype != dtype:
-                raise CheckpointFormatError(f"{path}: mixed tensor precisions")
-            layers.append(ConvLayer(w, b))
-        stages.append(CnnModule(layers))
-    return CascadeModel(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)
+    if len({p.dtype for p in model.parameters()}) > 1:
+        raise CheckpointFormatError(f"{path}: mixed tensor precisions")
+    return model
 
 
 def reconstruct(model: CascadeModel, meas: Measurements) -> ComplexImage:

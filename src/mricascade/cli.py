@@ -155,6 +155,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 0:
+        raise InvalidParameterError(f"epochs must be >= 0, got {args.epochs}")
     if args.checkpoint_every < 0:
         raise InvalidParameterError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     data_dir = Path(args.data)
@@ -178,12 +180,15 @@ def cmd_train(args) -> int:
 
     cfg = TrainConfig(
         batch_size=args.batch_size,
-        epochs=args.epochs,
         acceleration=args.acceleration,
         n_low=args.n_low,
         augment=not args.no_augment,
         seed=args.seed,
     )
+    # the line budget depends on the image height: check it before anything
+    # is written, on a throwaway stream so training draws stay as they are
+    for height in {img.height for img in images}:
+        generate_mask(Rng(0), height, 1, args.acceleration, args.n_low)
     train_rng = rng.child(1)
     state = init_adam_state(model.parameters())
     out = Path(args.out)

@@ -30,6 +30,12 @@ from .sampling import Measurements, SamplingMask, zero_filled
 from .tensorcore import ComplexImage
 
 
+def check_lam(lam: float) -> None:
+    """The fidelity weight is a positive float or ``math.inf``."""
+    if not (lam == math.inf or lam > 0):
+        raise InvalidParameterError(f"lam must be > 0 or inf, got {lam}")
+
+
 @dataclass(frozen=True, eq=False)
 class DcConfig:
     """Per-sample constants of the data-consistency step.
@@ -42,8 +48,7 @@ class DcConfig:
     lam: float = math.inf
 
     def __post_init__(self):
-        if not (self.lam == math.inf or self.lam > 0):
-            raise InvalidParameterError(f"lam must be > 0 or inf, got {self.lam}")
+        check_lam(self.lam)
 
     @property
     def mask(self) -> SamplingMask:

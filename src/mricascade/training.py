@@ -30,7 +30,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     weight_decay: float = 1e-7
     batch_size: int = 10
-    epochs: int = 1
     acceleration: float = 3.0
     n_low: int = 8
     augment: bool = True
@@ -45,8 +44,6 @@ class TrainConfig:
             raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise InvalidParameterError(f"epochs must be >= 0, got {self.epochs}")
         if not self.acceleration >= 1:
             raise InvalidParameterError(f"acceleration must be >= 1, got {self.acceleration}")
         if self.n_low < 0:

@@ -8,14 +8,16 @@ old-vs-new equivalence references.
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from mricascade.errors import CheckpointFormatError, InvalidParameterError, InvalidShapeError
 from mricascade.fourier import fft2_complex
-from mricascade.layers import ReluCache, conv_backward, conv_forward, relu_backward
-from mricascade.tensorcore import ComplexImage
+from mricascade.layers import ConvLayer, ReluCache, conv_backward, conv_forward, relu_backward
+from mricascade.tensorcore import ComplexImage, read_tensor
 
 
 def naive_dft2(z: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -177,3 +179,88 @@ def line_replacement_dc_backward(grad_out, cfg):
     else:
         k[lines, :] /= 1.0 + cfg.lam
     return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=grad_out.dtype)
+
+
+# The CSC1 loader from before checkpoints were built through
+# mricascade.cascade._assemble: it reads every tensor into a dict keyed by
+# name, then looks the layers up by name in a channel plan of its own. It
+# returns the header's hyperparameters beside the layers, as the model then
+# stored them. Kept as the old-vs-new equivalence reference for
+# mricascade.cascade.load_checkpoint.
+
+
+@dataclass(eq=False)
+class NameKeyedCheckpoint:
+    stages: list  # per stage, the list of ConvLayers
+    n_c: int
+    n_d: int
+    n_f: int
+    k: int
+    lam: float
+
+    def parameters(self) -> list:
+        return [p for layers in self.stages for layer in layers for p in (layer.weights, layer.bias)]
+
+
+def _read_exact(f, n: int, path) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointFormatError(f"{path}: truncated checkpoint")
+    return raw
+
+
+def name_keyed_load_checkpoint(path) -> NameKeyedCheckpoint:
+    with open(path, "rb") as f:
+        if f.read(4) != b"CSC1":
+            raise CheckpointFormatError(f"{path}: not a cascade checkpoint (bad magic)")
+        version, lam_mode = struct.unpack("<BB", _read_exact(f, 2, path))
+        if version != 1:
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+        (lam_value,) = struct.unpack("<d", _read_exact(f, 8, path))
+        if lam_mode not in (0, 1) or (lam_mode == 0 and not 0 < lam_value < math.inf):
+            raise CheckpointFormatError(
+                f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})"
+            )
+        n_c, n_d, n_f, k = struct.unpack("<4I", _read_exact(f, 16, path))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, path))
+        if n_c < 1 or n_d < 2 or count != 2 * n_c * n_d:
+            raise CheckpointFormatError(
+                f"{path}: inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})"
+            )
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path))
+            try:
+                name = _read_exact(f, name_len, path).decode("utf-8")
+                tensors[name] = read_tensor(f)
+            except (UnicodeDecodeError, InvalidParameterError, InvalidShapeError) as exc:
+                raise CheckpointFormatError(f"{path}: {exc}") from exc
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointFormatError(f"{path}: tensor {name} has non-finite values")
+        if f.read(1):
+            raise CheckpointFormatError(f"{path}: trailing bytes after last tensor")
+
+    lam = math.inf if lam_mode == 1 else lam_value
+    plan = [(2, n_f)] + [(n_f, n_f)] * (n_d - 2) + [(n_f, 2)]
+    stages = []
+    dtype = None
+    for s in range(n_c):
+        layers = []
+        for i, (n_in, n_out) in enumerate(plan):
+            try:
+                w = tensors[f"stage{s}.conv{i}.weight"]
+                b = tensors[f"stage{s}.conv{i}.bias"]
+            except KeyError as exc:
+                raise CheckpointFormatError(f"{path}: missing tensor {exc}") from exc
+            if w.shape != (n_out, n_in, k, k) or b.shape != (n_out,):
+                raise CheckpointFormatError(
+                    f"{path}: stage{s}.conv{i} has shape {w.shape}, "
+                    f"expected {(n_out, n_in, k, k)} for header hyperparameters"
+                )
+            if dtype is None:
+                dtype = w.dtype
+            elif w.dtype != dtype or b.dtype != dtype:
+                raise CheckpointFormatError(f"{path}: mixed tensor precisions")
+            layers.append(ConvLayer(w, b))
+        stages.append(layers)
+    return NameKeyedCheckpoint(stages, n_c=n_c, n_d=n_d, n_f=n_f, k=k, lam=lam)

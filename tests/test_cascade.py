@@ -1,11 +1,14 @@
 import math
 import os
+import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mricascade import (
+    CascadeModel,
     CheckpointFormatError,
     ComplexImage,
     DcConfig,
@@ -35,6 +38,7 @@ from oracles import (
     interleaved_module_forward,
     line_replacement_dc_backward,
     line_replacement_dc_forward,
+    name_keyed_load_checkpoint,
 )
 
 
@@ -204,12 +208,17 @@ class TestCascadeBackward:
 
 
 class TestModelBuilders:
-    @pytest.mark.parametrize("n_c,n_d,n_f", [(0, 3, 4), (1, 1, 4), (1, 2, 0)], ids=["n_c", "n_d", "n_f"])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(n_c=0), dict(n_d=1), dict(n_f=0), dict(k=4), dict(k=-1),
+         dict(lam=0.0), dict(lam=-1.0), dict(lam=math.nan)],
+        ids=["n_c", "n_d", "n_f", "k4", "k-1", "lam0", "lam-1", "lam-nan"],
+    )
     @pytest.mark.parametrize("builder", ["build_model", "zero_model"])
-    def test_rejects_bad_hyperparameters(self, builder, n_c, n_d, n_f):
-        make = {"build_model": lambda *a: build_model(Rng(0), *a), "zero_model": zero_model}[builder]
+    def test_rejects_bad_hyperparameters(self, builder, bad):
+        make = {"build_model": lambda **kw: build_model(Rng(0), **kw), "zero_model": zero_model}[builder]
         with pytest.raises(InvalidParameterError):
-            make(n_c, n_d, n_f)
+            make(**{"n_c": 1, "n_d": 3, "n_f": 4, **bad})
 
     def test_zero_model_has_build_model_layout(self):
         zero, built = zero_model(2, 3, 5), build_model(Rng(0), 2, 3, 5)
@@ -267,17 +276,72 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csc1"]
 
-    @pytest.mark.parametrize("n_d", [1, 3])
-    def test_hyperparameters_disagreeing_with_layers_keep_existing_checkpoint(self, tmp_path, n_d):
+    def test_hyperparameters_are_read_off_the_layers(self):
+        model = build_model(Rng(1), n_c=2, n_d=3, n_f=5, k=5, lam=2.0)
+        assert [f.name for f in fields(model)] == ["stages", "lam"]
+        assert (model.n_c, model.n_d, model.n_f, model.k) == (2, 3, 5, 5)
+        with pytest.raises(AttributeError):
+            model.n_d = 3
+
+    def test_unequal_stages_keep_existing_checkpoint(self, tmp_path):
+        # a hand-built model whose second stage is one layer deeper than the
+        # first: the header's n_d names fewer tensors than there are
         path = tmp_path / "m.csc1"
         save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
         before = path.read_bytes()
-        model = build_model(Rng(1), 1, 2, 2)
-        model.n_d = n_d
+        short, deep = build_model(Rng(1), 1, 2, 2), build_model(Rng(2), 1, 3, 2)
+        model = CascadeModel([short.stages[0], deep.stages[0]])
         with pytest.raises(ValueError):
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csc1"]
+
+    @pytest.mark.parametrize("lam", [math.inf, 7.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_c,n_d,n_f,k", [(1, 2, 1, 1), (2, 3, 5, 3), (3, 4, 2, 5), (2, 5, 8, 3)])
+    def test_loads_as_the_name_keyed_loader(self, tmp_path, lam, dtype, n_c, n_d, n_f, k):
+        path = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(n_d), n_c, n_d, n_f, k=k, lam=lam, dtype=dtype), path)
+        got, expect = load_checkpoint(path), name_keyed_load_checkpoint(path)
+        assert got.lam == expect.lam == lam
+        assert (got.n_c, got.n_d, got.n_f, got.k) == (expect.n_c, expect.n_d, expect.n_f, expect.k)
+        assert (expect.n_c, expect.n_d, expect.n_f, expect.k) == (n_c, n_d, n_f, k)
+        assert len(got.parameters()) == len(expect.parameters()) == 2 * n_c * n_d
+        for a, b in zip(got.parameters(), expect.parameters()):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    def test_tensors_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "m.csc1"
+        model = build_model(Rng(3), 1, 2, 2)
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        # the same header, then the tensor records in reverse order
+        records, pos = [], 34
+        for arr in model.parameters():
+            size = 2 + int.from_bytes(raw[pos:pos + 2], "little") + 6 + 4 * arr.ndim + arr.nbytes
+            records.append(raw[pos:pos + size])
+            pos += size
+        assert pos == len(raw)
+        path.write_bytes(raw[:34] + b"".join(reversed(records)))
+        assert name_keyed_load_checkpoint(path).n_d == 2
+        with pytest.raises(CheckpointFormatError, match="m.csc1: expected tensor stage0.conv0.weight next"):
+            load_checkpoint(path)
+
+    def test_huge_tensor_count_rejected_before_planning_layers(self, tmp_path):
+        # 40 bytes: a header for n_c=1, n_d=2^31-1 whose tensor count 2^32-2
+        # agrees with it, then 6 bytes where those tensors should be
+        path = tmp_path / "huge.csc1"
+        header = b"CSC1" + struct.pack("<BBd", 1, 1, 0.0) + struct.pack("<5I", 1, 2**31 - 1, 2, 3, 2**32 - 2)
+        path.write_bytes(header + b"\x00" * 6)
+        assert path.stat().st_size == 40
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="huge.csc1"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.csc1"

@@ -1,4 +1,5 @@
 import filecmp
+import io
 import math
 import struct
 
@@ -23,7 +24,7 @@ from mricascade import (
     zero_model,
 )
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
-from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor
+from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor, write_tensor
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,24 @@ class TestTrain:
              "--epochs", "1", "--out", str(out), *flags]
         )
         assert message in assert_input_error(code, capsys)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "mask_flags",
+        [["--acceleration", "3", "--n-low", "8"], ["--acceleration", "100", "--n-low", "0"]],
+        ids=["n-low-above-budget", "empty-budget"],
+    )
+    def test_mask_error_writes_nothing(self, tmp_path, capsys, mask_flags):
+        # the line budget of a 16-line image is round(16/3) = 5 and round(16/100) = 0
+        data = tmp_path / "data16"
+        assert main(["generate", "--n", "3", "--size", "16", "--seed", "0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run" / "m.csc1"
+        code = main(
+            ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "2",
+             "--epochs", "1", "--out", str(out), *mask_flags]
+        )
+        assert "line budget" in assert_input_error(code, capsys)
         assert not out.parent.exists()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -333,13 +352,21 @@ class TestInputErrors:
         # every truncation, a 0xFF byte in the first tensor name (after the
         # 34-byte header and the name's u16 length), a first tensor whose
         # dims claim 2^31 x 2^31, a lambda-mode byte (offset 5) that is
-        # neither 0 nor 1, and a finite-lambda header (mode 0) whose f64
+        # neither 0 nor 1, a header with k=4 (offset 26) followed by the 4x4
+        # kernels it names, and a finite-lambda header (mode 0) whose f64
         # value (offset 6) is 0, NaN or negative
         dims = raw.index(b"CXT1") + 6
+        even = io.BytesIO()
+        even.write(raw[:26] + struct.pack("<I", 4) + raw[30:34])
+        for i in range(2):
+            for name, shape in ((f"stage0.conv{i}.weight", (2, 2, 4, 4)), (f"stage0.conv{i}.bias", (2,))):
+                even.write(struct.pack("<H", len(name)) + name.encode())
+                write_tensor(even, np.zeros(shape, dtype=np.float32))
         cases = [raw[:n] for n in range(len(raw))] + [
             raw[:36] + b"\xff" + raw[37:],
             raw[:dims] + (2**31).to_bytes(4, "little") * 2 + raw[dims + 8:],
             raw[:5] + b"\x07" + raw[6:],
+            even.getvalue(),
         ] + [raw[:5] + b"\x00" + struct.pack("<d", lam) + raw[14:] for lam in (0.0, math.nan, -1.0)]
         bad = tmp_path / "bad.csc1"
         for blob in cases:

@@ -60,7 +60,7 @@ class TestMseLoss:
 
 class TestAdamStep:
     def cfg(self, **kw):
-        defaults = dict(alpha=1e-4, weight_decay=0.0, epochs=1)
+        defaults = dict(alpha=1e-4, weight_decay=0.0)
         defaults.update(kw)
         return TrainConfig(**defaults)
 
