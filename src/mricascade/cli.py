@@ -137,11 +137,11 @@ def cmd_generate(args) -> int:
         raise InvalidParameterError("--n must be >= 1")
     if args.size < 4 or args.size % 2:
         raise InvalidParameterError("--size must be even and >= 4")
+    train_idx, test_idx = split_indices(args.n, args.train_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = PhantomSpec(height=args.size, width=args.size)
     images = make_dataset(args.n, spec, seed=args.seed)
-    train_idx, test_idx = split_indices(args.n, args.train_fraction)
     split_of = {i: "train" for i in train_idx}
     split_of.update({i: "test" for i in test_idx})
     lines = []

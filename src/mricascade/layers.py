@@ -9,6 +9,17 @@ no more channels than the output, and otherwise multiplies first and scatters
 the k*k shifted products back through col2im. The conv cache keeps only the
 layer input, and the ReLU cache only the ReLU output, which is positive exactly
 where the input is; inside a cascade block the two are the same array.
+
+Columns come from a padded-flat layout. An input [C, H, W] is zero-padded by
+p = (k-1)/2 on every side, plus one more zero row, and its rows are laid end to
+end with stride Wp = W + 2p. Tap (di, dj) is then one contiguous slice of
+H*Wp values starting at di*Wp + dj, so im2col is k*k slice copies and col2im
+k*k slice adds. The extra zero row keeps the last tap's slice in bounds. Each
+image row is followed by 2p junk columns, which read the padding and the start
+of the next row. The junk columns of a correlation's output are dropped. Where
+junk would be summed instead, in the weight gradient's GEMM over the spatial
+axis and in the products col2im scatters, the operand it meets is widened with
+2p zero columns per row, so the junk adds exact zeros.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameterError, InvalidShapeError
 from .tensorcore import ComplexImage, Rng, normal_draw
@@ -49,9 +59,6 @@ class ConvLayer:
     def kernel_size(self) -> int:
         return self.weights.shape[2]
 
-    def astype(self, dtype) -> "ConvLayer":
-        return ConvLayer(self.weights.astype(dtype), self.bias.astype(dtype))
-
 
 def he_init(rng: Rng, n_out: int, n_in: int, k: int, dtype=np.float32) -> ConvLayer:
     """Weights ~ Normal(0, sqrt(2 / fan_in)) with fan_in = n_in*k*k, zero bias."""
@@ -72,35 +79,59 @@ class ReluCache:
     x: np.ndarray  # the ReLU output, positive exactly where the ReLU input is
 
 
+def _widen(x: np.ndarray, p: int) -> np.ndarray:
+    # [C, H*Wp]: each row of x followed by 2p zero columns
+    c, h, w = x.shape
+    xw = np.zeros((c, h, w + 2 * p), dtype=x.dtype)
+    xw[:, :, :w] = x
+    return xw.reshape(c, -1)
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # [C*k*k, H*W]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
+    # [C*k*k, H*Wp]: row (c, di, dj) is channel c shifted by (di - p, dj - p),
+    # each image row followed by 2p junk columns
     c, h, w = x.shape
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
-
-
-def _col2im(dcols: np.ndarray) -> np.ndarray:
-    # adjoint of _im2col: [C, k, k, H, W] -> [C, H, W], each (di, dj) slice
-    # shifted back by (p - di, p - dj) and summed
-    c, k, _, h, w = dcols.shape
-    p = (k - 1) // 2
-    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    wp = w + 2 * p
+    xp = np.zeros((c, h + 2 * p + 1, wp), dtype=x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    xf = xp.reshape(c, -1)
+    cols = np.empty((c, k * k, h * wp), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            xp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
-    return xp[:, p : p + h, p : p + w]
+            s = di * wp + dj
+            cols[:, di * k + dj] = xf[:, s : s + h * wp]
+    return cols.reshape(c * k * k, h * wp)
+
+
+def _col2im(dcols: np.ndarray, k: int, w: int) -> np.ndarray:
+    # adjoint of _im2col on columns whose junk is zero: [C*k*k, H*Wp] -> [C, H*Wp],
+    # row (c, di, dj) added back at offset di*Wp + dj of the padded-flat image;
+    # the result's junk columns hold what landed in the padding
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    n = dcols.shape[1]
+    dcols = dcols.reshape(-1, k * k, n)
+    xf = np.zeros((dcols.shape[0], n + (2 * p + 1) * wp), dtype=dcols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            s = di * wp + dj
+            xf[:, s : s + n] += dcols[:, di * k + dj]
+    return xf[:, p * wp + p :][:, :n]
 
 
 def _correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation of x [n_in, H, W] with w4 [n_out, n_in, k, k]."""
     n_out, n_in, k, _ = w4.shape
     _, h, w = x.shape
+    p = (k - 1) // 2
     if n_in <= n_out:
-        return (w4.reshape(n_out, -1) @ _im2col(x, k)).reshape(n_out, h, w)
-    # rows (o, di, dj) of the flipped kernel, so col2im's shifts line up
-    wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
-    return _col2im((wrows @ x.reshape(n_in, h * w)).reshape(n_out, k, k, h, w))
+        out = w4.reshape(n_out, -1) @ _im2col(x, k)
+    else:
+        # rows (o, di, dj) of the flipped kernel, so col2im's shifts line up
+        wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
+        out = _col2im(wrows @ _widen(x, p), k, w)
+    return out.reshape(n_out, h, w + 2 * p)[:, :, :w]
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray):
@@ -127,14 +158,16 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
             f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
         )
     n_out, k = layer.n_out, layer.kernel_size
+    p = (k - 1) // 2
 
     grad_b = grad_out.sum(axis=(1, 2))
+    # the zero columns _widen appends meet the junk columns of _im2col
     if c <= n_out:
-        grad_w = grad_out.reshape(n_out, h * w) @ _im2col(cache.x, k).T
+        grad_w = _widen(grad_out, p) @ _im2col(cache.x, k).T
         grad_w = grad_w.reshape(layer.weights.shape)
     else:
         # rows (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
-        flipped = (_im2col(grad_out, k) @ cache.x.reshape(c, h * w).T).reshape(n_out, k, k, c)
+        flipped = (_im2col(grad_out, k) @ _widen(cache.x, p).T).reshape(n_out, k, k, c)
         grad_w = np.ascontiguousarray(flipped[:, ::-1, ::-1].transpose(0, 3, 1, 2))
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
     grad_in = _correlate(layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), grad_out)

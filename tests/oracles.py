@@ -103,6 +103,56 @@ def rowmajor_conv_backward(layer, cache: RowMajorConvCache, grad_out: np.ndarray
     return grad_in, grad_w, grad_b
 
 
+# Channel-major conv with [C*k*k, H*W] columns reshaped from a 6-D strided
+# window view of the padded image, kept verbatim from before mricascade.layers
+# built its columns from a padded-flat layout, as the old-vs-new equivalence
+# reference. It routes to the thinner side as the library does.
+
+
+def _windowed_im2col(x: np.ndarray, k: int) -> np.ndarray:
+    c, h, w = x.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    return sliding_window_view(xp, (h, w), axis=(1, 2)).reshape(c * k * k, h * w)
+
+
+def _windowed_col2im(dcols: np.ndarray) -> np.ndarray:
+    c, k, _, h, w = dcols.shape
+    p = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            xp[:, di : di + h, dj : dj + w] += dcols[:, di, dj]
+    return xp[:, p : p + h, p : p + w]
+
+
+def _windowed_correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
+    n_out, n_in, k, _ = w4.shape
+    _, h, w = x.shape
+    if n_in <= n_out:
+        return (w4.reshape(n_out, -1) @ _windowed_im2col(x, k)).reshape(n_out, h, w)
+    wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
+    return _windowed_col2im((wrows @ x.reshape(n_in, h * w)).reshape(n_out, k, k, h, w))
+
+
+def windowed_conv_forward(layer, x: np.ndarray) -> np.ndarray:
+    return _windowed_correlate(layer.weights, x) + layer.bias[:, None, None]
+
+
+def windowed_conv_backward(layer, x: np.ndarray, grad_out: np.ndarray):
+    c, h, w = x.shape
+    n_out, k = layer.n_out, layer.kernel_size
+    grad_b = grad_out.sum(axis=(1, 2))
+    if c <= n_out:
+        grad_w = grad_out.reshape(n_out, h * w) @ _windowed_im2col(x, k).T
+        grad_w = grad_w.reshape(layer.weights.shape)
+    else:
+        flipped = (_windowed_im2col(grad_out, k) @ x.reshape(c, h * w).T).reshape(n_out, k, k, c)
+        grad_w = np.ascontiguousarray(flipped[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+    grad_in = _windowed_correlate(layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), grad_out)
+    return grad_in, grad_w, grad_b
+
+
 def dct2_8x8_coefficients(image: np.ndarray) -> np.ndarray:
     """Type-II DCT coefficients of every disjoint 8x8 block, flattened."""
     n = 8

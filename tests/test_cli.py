@@ -61,6 +61,13 @@ class TestGenerate:
         code = main(["generate", "--n", "0", "--out", str(tmp_path / "x")])
         assert "--n must be >= 1" in assert_input_error(code, capsys)
 
+    @pytest.mark.parametrize("fraction", ["1.5", "nan", "-0.5"])
+    def test_bad_train_fraction_writes_nothing(self, tmp_path, capsys, fraction):
+        out = tmp_path / "D"
+        argv = ["generate", "--n", "3", "--size", "8", "--train-fraction", fraction, "--out", str(out)]
+        assert "train_fraction" in assert_input_error(main(argv), capsys)
+        assert not out.exists()
+
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["generate", "--wat", "1"]) == 2
         capsys.readouterr()

@@ -17,7 +17,13 @@ from mricascade import (
 from mricascade import layers
 from mricascade.gradcheck import check_conv, check_relu, numeric_gradient, relative_error
 
-from oracles import naive_conv2d, rowmajor_conv_backward, rowmajor_conv_forward
+from oracles import (
+    naive_conv2d,
+    rowmajor_conv_backward,
+    rowmajor_conv_forward,
+    windowed_conv_backward,
+    windowed_conv_forward,
+)
 
 
 def identity_layer(dtype=np.float64):
@@ -192,6 +198,63 @@ class TestRowMajorEquivalence:
         for name, a, b in zip(("out", "grad_in", "grad_w", "grad_b"), got, expect):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape, name
             assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), name
+
+
+class TestPaddedFlatEquivalence:
+    """The padded-flat conv matches the windowed conv it replaced.
+
+    Both build the same columns in the same order, so each GEMM sums the same
+    products in the same order, and the junk columns only add exact zeros.
+    Forward output, grad_in and grad_b are therefore bit-identical at the
+    workload sizes. grad_w's GEMM sums over H*(W+2p) instead of H*W, so BLAS
+    blocks it differently and it agrees to roundoff. On small images BLAS picks
+    its kernel by the product's size, so there every result agrees to roundoff.
+    """
+
+    ROUNDOFF = {np.float64: 1e-14, np.float32: 1e-5}
+
+    @staticmethod
+    def results(n_in, n_out, h, w, k, dtype):
+        rng = Rng(100 * n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=dtype)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, h, w)).astype(dtype)
+        grad_out = rng.gen.standard_normal((n_out, h, w)).astype(dtype)
+        names = ("out", "grad_in", "grad_w", "grad_b")
+        out, cache = conv_forward(layer, x)
+        got = dict(zip(names, (out, *conv_backward(layer, cache, grad_out))))
+        ref = (windowed_conv_forward(layer, x), *windowed_conv_backward(layer, x, grad_out))
+        expect = dict(zip(names, ref))
+        for name in got:
+            assert got[name].dtype == expect[name].dtype == dtype, name
+            assert got[name].shape == expect[name].shape, name
+        return got, expect
+
+    def assert_roundoff(self, a, b, dtype, name):
+        assert np.max(np.abs(a - b)) <= self.ROUNDOFF[dtype] * np.max(np.abs(b)), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "n_in, n_out, size", [(2, 16, 64), (16, 16, 64), (16, 2, 64), (2, 64, 80), (64, 64, 80), (64, 2, 80)]
+    )
+    def test_bit_identical_at_workload_sizes(self, n_in, n_out, size, k, dtype):
+        got, expect = self.results(n_in, n_out, size, size, k, dtype)
+        for name in ("out", "grad_in", "grad_b"):
+            assert np.array_equal(got[name], expect[name]), name
+        self.assert_roundoff(got["grad_w"], expect["grad_w"], dtype, "grad_w")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "h, w, k", [(1, 1, 5), (2, 3, 5), (1, 1, 3), (5, 7, 3), (5, 7, 5), (12, 20, 1), (12, 20, 3)]
+    )
+    @pytest.mark.parametrize("n_in, n_out", [(2, 16), (16, 16), (16, 2), (64, 2)])
+    def test_small_images_match_to_roundoff(self, n_in, n_out, h, w, k, dtype):
+        # on images no larger than the kernel the last tap's slice reaches into
+        # the extra padded row and the junk columns wrap into the next image row
+        got, expect = self.results(n_in, n_out, h, w, k, dtype)
+        for name in got:
+            self.assert_roundoff(got[name], expect[name], dtype, name)
 
 
 class TestRelu:
