@@ -20,6 +20,12 @@ of the next row. The junk columns of a correlation's output are dropped. Where
 junk would be summed instead, in the weight gradient's GEMM over the spatial
 axis and in the products col2im scatters, the operand it meets is widened with
 2p zero columns per row, so the junk adds exact zeros.
+
+The columns are never built whole. They are built one band of consecutive flat
+output columns at a time, into one buffer of at most _BAND_BYTES that each band
+refills. A gathering correlation writes each band's GEMM straight into its slice
+of the output, and a weight gradient sums the products of its bands. Bands need
+not end at a row boundary.
 """
 
 from __future__ import annotations
@@ -87,37 +93,68 @@ def _widen(x: np.ndarray, p: int) -> np.ndarray:
     return xw.reshape(c, -1)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # [C*k*k, H*Wp]: row (c, di, dj) is channel c shifted by (di - p, dj - p),
-    # each image row followed by 2p junk columns
+# bytes of one band of conv columns: half of a 2 MiB L2, so a band and the
+# weights it meets stay in cache through its GEMM
+_BAND_BYTES = 1 << 20
+
+
+def _column_bands(x: np.ndarray, k: int):
+    """Yield (a, b, cols): the im2col columns a..b of x, one band at a time.
+
+    cols is [C*k*k, b-a]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
+    over flat output columns a..b of [H, Wp], each image row followed by 2p junk
+    columns. Every band is a view of one buffer that the next band overwrites.
+    """
     c, h, w = x.shape
     p = (k - 1) // 2
     wp = w + 2 * p
+    n = h * wp
     xp = np.zeros((c, h + 2 * p + 1, wp), dtype=x.dtype)
     xp[:, p : p + h, p : p + w] = x
     xf = xp.reshape(c, -1)
-    cols = np.empty((c, k * k, h * wp), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            s = di * wp + dj
-            cols[:, di * k + dj] = xf[:, s : s + h * wp]
-    return cols.reshape(c * k * k, h * wp)
+    rows = c * k * k
+    # at least 64 and a multiple of 64 columns: BLAS then sums every output column
+    # in the order one GEMM over all columns would (bands of 16 or 164 columns
+    # change the last bits of the output)
+    width = min(n, max(64, _BAND_BYTES // (rows * x.itemsize) // 64 * 64))
+    buf = np.empty(rows * width, dtype=x.dtype)
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        cols = buf[: rows * (b - a)].reshape(c, k * k, b - a)
+        for di in range(k):
+            for dj in range(k):
+                s = a + di * wp + dj
+                cols[:, di * k + dj] = xf[:, s : s + b - a]
+        yield a, b, cols.reshape(rows, b - a)
 
 
-def _col2im(dcols: np.ndarray, k: int, w: int) -> np.ndarray:
-    # adjoint of _im2col on columns whose junk is zero: [C*k*k, H*Wp] -> [C, H*Wp],
-    # row (c, di, dj) added back at offset di*Wp + dj of the padded-flat image;
-    # the result's junk columns hold what landed in the padding
+def _dot_columns(lhs: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    # lhs [R, H*Wp] times the transposed columns of x: [R, C*k*k], summed band by band
+    acc = np.zeros((lhs.shape[0], x.shape[0] * k * k), dtype=np.result_type(lhs, x))
+    for a, b, cols in _column_bands(x, k):
+        acc += lhs[:, a:b] @ cols.T
+    return acc
+
+
+def _scatter(w4: np.ndarray, xw: np.ndarray, w: int) -> np.ndarray:
+    """Correlation of a widened input xw [n_in, H*Wp] with w4 [n_out, n_in, k, k] -> [n_out, H, W].
+
+    Multiplies first, then adds the k*k shifted products back: row (o, di, dj)
+    of the flipped kernel's product goes to offset di*Wp + dj of the
+    padded-flat output, and what lands in the padding is dropped.
+    """
+    n_out, n_in, k, _ = w4.shape
     p = (k - 1) // 2
     wp = w + 2 * p
-    n = dcols.shape[1]
-    dcols = dcols.reshape(-1, k * k, n)
-    xf = np.zeros((dcols.shape[0], n + (2 * p + 1) * wp), dtype=dcols.dtype)
+    n = xw.shape[1]
+    wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
+    prods = (wrows @ xw).reshape(n_out, k * k, n)
+    out = np.zeros((n_out, n + (2 * p + 1) * wp), dtype=prods.dtype)
     for di in range(k):
         for dj in range(k):
             s = di * wp + dj
-            xf[:, s : s + n] += dcols[:, di * k + dj]
-    return xf[:, p * wp + p :][:, :n]
+            out[:, s : s + n] += prods[:, di * k + dj]
+    return out[:, p * wp + p :][:, :n].reshape(n_out, -1, wp)[:, :, :w]
 
 
 def _correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -125,12 +162,12 @@ def _correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
     n_out, n_in, k, _ = w4.shape
     _, h, w = x.shape
     p = (k - 1) // 2
-    if n_in <= n_out:
-        out = w4.reshape(n_out, -1) @ _im2col(x, k)
-    else:
-        # rows (o, di, dj) of the flipped kernel, so col2im's shifts line up
-        wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
-        out = _col2im(wrows @ _widen(x, p), k, w)
+    if n_in > n_out:
+        return _scatter(w4, _widen(x, p), w)
+    w2 = w4.reshape(n_out, -1)
+    out = np.empty((n_out, h * (w + 2 * p)), dtype=np.result_type(w4, x))
+    for a, b, cols in _column_bands(x, k):
+        np.matmul(w2, cols, out=out[:, a:b])
     return out.reshape(n_out, h, w + 2 * p)[:, :, :w]
 
 
@@ -161,16 +198,21 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
     p = (k - 1) // 2
 
     grad_b = grad_out.sum(axis=(1, 2))
-    # the zero columns _widen appends meet the junk columns of _im2col
-    if c <= n_out:
-        grad_w = _widen(grad_out, p) @ _im2col(cache.x, k).T
-        grad_w = grad_w.reshape(layer.weights.shape)
-    else:
-        # rows (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
-        flipped = (_im2col(grad_out, k) @ _widen(cache.x, p).T).reshape(n_out, k, k, c)
-        grad_w = np.ascontiguousarray(flipped[:, ::-1, ::-1].transpose(0, 3, 1, 2))
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
-    grad_in = _correlate(layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), grad_out)
+    w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    # the zero columns _widen appends meet the junk columns of the bands
+    if c <= n_out:
+        g_wide = _widen(grad_out, p)
+        grad_w = _dot_columns(g_wide, cache.x, k).reshape(layer.weights.shape)
+        if c < n_out:
+            # grad_in narrows to c channels: scatter the grad_out already widened
+            return _scatter(w_adj, g_wide, w), grad_w, grad_b
+        del g_wide  # not needed by the gather below, which builds its own columns
+    else:
+        # columns (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
+        flipped = _dot_columns(_widen(cache.x, p), grad_out, k).reshape(c, n_out, k, k)
+        grad_w = np.ascontiguousarray(flipped[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    grad_in = _correlate(w_adj, grad_out)
     return grad_in, grad_w, grad_b
 
 

@@ -36,12 +36,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
+        # NaN fails every comparison, so the `not` forms below reject it
+        if not 0 < self.alpha < np.inf:
+            raise InvalidParameterError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise InvalidParameterError("beta1 and beta2 must lie in (0, 1)")
-        if self.weight_decay < 0:
-            raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidParameterError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise InvalidParameterError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if self.batch_size < 1:
             raise InvalidParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.acceleration >= 1:

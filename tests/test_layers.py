@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,28 @@ def identity_layer(dtype=np.float64):
     w = np.zeros((1, 1, 3, 3), dtype=dtype)
     w[0, 0, 1, 1] = 1.0
     return ConvLayer(w, np.zeros(1, dtype=dtype))
+
+
+def assert_finite_difference_agreement(n_in, n_out, k, h, w):
+    rng = Rng(10 * n_in + n_out + k)
+    layer = he_init(rng, n_out, n_in, k, dtype=np.float64)
+    layer.bias[:] = rng.gen.standard_normal(n_out)
+    x = rng.gen.standard_normal((n_in, h, w))
+    out, cache = conv_forward(layer, x)
+    g_up = rng.gen.standard_normal(out.shape)
+    grad_in, grad_w, grad_b = conv_backward(layer, cache, g_up)
+
+    def loss(wv, bv, xv):
+        return float(np.sum(conv_forward(ConvLayer(wv, bv), xv)[0] * g_up))
+
+    numeric = (
+        numeric_gradient(lambda xv: loss(layer.weights, layer.bias, xv), x),
+        numeric_gradient(lambda wv: loss(wv, layer.bias, x), layer.weights),
+        numeric_gradient(lambda bv: loss(layer.weights, bv, x), layer.bias),
+    )
+    for name, a, n in zip(("grad_in", "grad_w", "grad_b"), (grad_in, grad_w, grad_b), numeric):
+        assert a.shape == n.shape, name
+        assert relative_error(a, n) < 1e-6, name
 
 
 class TestHeInit:
@@ -109,25 +133,7 @@ class TestConvBackward:
     @pytest.mark.parametrize("n_in, n_out", [(3, 1), (2, 2)])
     def test_finite_difference_agreement_any_width(self, n_in, n_out, k):
         # 3 -> 1 narrows, so its forward pass and grad_w take the scatter side
-        rng = Rng(10 * n_in + n_out + k)
-        layer = he_init(rng, n_out, n_in, k, dtype=np.float64)
-        layer.bias[:] = rng.gen.standard_normal(n_out)
-        x = rng.gen.standard_normal((n_in, 5, 7))
-        out, cache = conv_forward(layer, x)
-        g_up = rng.gen.standard_normal(out.shape)
-        grad_in, grad_w, grad_b = conv_backward(layer, cache, g_up)
-
-        def loss(w, b, xv):
-            return float(np.sum(conv_forward(ConvLayer(w, b), xv)[0] * g_up))
-
-        numeric = (
-            numeric_gradient(lambda xv: loss(layer.weights, layer.bias, xv), x),
-            numeric_gradient(lambda wv: loss(wv, layer.bias, x), layer.weights),
-            numeric_gradient(lambda bv: loss(layer.weights, bv, x), layer.bias),
-        )
-        for name, a, n in zip(("grad_in", "grad_w", "grad_b"), (grad_in, grad_w, grad_b), numeric):
-            assert a.shape == n.shape, name
-            assert relative_error(a, n) < 1e-6, name
+        assert_finite_difference_agreement(n_in, n_out, k, 5, 7)
 
     def test_zero_grad_out(self):
         layer = he_init(Rng(0), 2, 1, 3, dtype=np.float64)
@@ -165,13 +171,13 @@ class TestConvBackward:
     @pytest.mark.parametrize("n_in, n_out", [(2, 64), (64, 2), (16, 16)])
     def test_im2col_copies_only_the_thinner_side(self, monkeypatch, n_in, n_out):
         copied = []
-        im2col = layers._im2col
+        column_bands = layers._column_bands
 
         def spy(x, k):
             copied.append(x.shape[0])
-            return im2col(x, k)
+            return column_bands(x, k)
 
-        monkeypatch.setattr(layers, "_im2col", spy)
+        monkeypatch.setattr(layers, "_column_bands", spy)
         layer = he_init(Rng(0), n_out, n_in, 3)
         out, cache = conv_forward(layer, np.ones((n_in, 6, 6), dtype=np.float32))
         conv_backward(layer, cache, np.ones_like(out))
@@ -255,6 +261,84 @@ class TestPaddedFlatEquivalence:
         got, expect = self.results(n_in, n_out, h, w, k, dtype)
         for name in got:
             self.assert_roundoff(got[name], expect[name], dtype, name)
+
+
+class TestColumnBands:
+    """Columns built one band at a time give the results of one band holding them all.
+
+    A budget of 1 byte makes every band the 64-column minimum, so a 16x20 image
+    (352 flat columns at k=3, 384 at k=5) takes 6 bands whose edges fall inside
+    image rows.
+    """
+
+    H, W = 16, 20
+
+    @staticmethod
+    def record_bands(monkeypatch):
+        bands = []
+        column_bands = layers._column_bands
+
+        def spy(x, k):
+            bands.append([])
+            for a, b, cols in column_bands(x, k):
+                bands[-1].append((a, b))
+                yield a, b, cols
+
+        monkeypatch.setattr(layers, "_column_bands", spy)
+        return bands
+
+    def run(self, n_in, n_out, k):
+        rng = Rng(100 * n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=np.float64)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, self.H, self.W))
+        grad_out = rng.gen.standard_normal((n_out, self.H, self.W))
+        out, cache = conv_forward(layer, x)
+        return (out, *conv_backward(layer, cache, grad_out))
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 3), (3, 2)])
+    def test_small_bands_match_one_band(self, monkeypatch, n_in, n_out, k):
+        bands = self.record_bands(monkeypatch)
+        expect = self.run(n_in, n_out, k)
+        assert bands and all(len(b) == 1 for b in bands), bands
+        bands.clear()
+        monkeypatch.setattr(layers, "_BAND_BYTES", 1)
+        got = self.run(n_in, n_out, k)
+        wp = self.W + k - 1
+        for calls in bands:
+            assert len(calls) >= 3
+            assert calls[0][0] == 0 and calls[-1][1] == self.H * wp
+            assert all(b - a == 64 and b == a2 for (a, b), (a2, _) in zip(calls, calls[1:]))
+            assert calls[-1][0] % wp != 0  # the last band starts inside an image row
+        again = self.run(n_in, n_out, k)
+        for name, a, b, c in zip(("out", "grad_in", "grad_w", "grad_b"), got, expect, again):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+            assert np.array_equal(a, c), name
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 2)])
+    def test_small_bands_pass_finite_differences(self, monkeypatch, n_in, n_out, k):
+        monkeypatch.setattr(layers, "_BAND_BYTES", 1)
+        assert_finite_difference_agreement(n_in, n_out, k, self.H, self.W)
+
+    def test_full_scale_layer_never_holds_all_its_columns(self):
+        # the whole [64*9, 80*82] float32 column matrix alone would be 15.1 MB
+        layer = he_init(Rng(0), 64, 64, 3)
+        x = Rng(1).gen.standard_normal((64, 80, 80)).astype(np.float32)
+        grad_out = Rng(2).gen.standard_normal((64, 80, 80)).astype(np.float32)
+        _, cache = conv_forward(layer, x)
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: conv_forward(layer, x)) < 8e6
+        assert peak(lambda: conv_backward(layer, cache, grad_out)) < 10e6
 
 
 class TestRelu:

@@ -120,6 +120,25 @@ class TestAdamStep:
         with pytest.raises(InvalidParameterError):
             TrainConfig(weight_decay=-1e-8)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_non_finite_or_zero_optimiser_values_rejected(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(InvalidParameterError, match=name):
+            TrainConfig(**bad)
+
 
 class TestAugment:
     def test_identity_element(self):
