@@ -9,7 +9,9 @@ is the identity on consistent inputs, which is asserted by the tests.
 
 For the backward pass a block keeps one array per conv layer, that layer's
 input. Past the first layer the input is a ReLU output, which is all the
-ReLU's backward needs, so no pre-activation is kept.
+ReLU's backward needs, so no pre-activation is kept. The backward pass stops
+at stage 0's first layer: the zero-filled starting image takes no gradient,
+so that layer's input gradient is never computed.
 """
 
 from __future__ import annotations
@@ -144,11 +146,15 @@ def module_forward(module: CnnModule, x: np.ndarray):
     return h, caches
 
 
-def module_backward(module: CnnModule, caches: list, grad: np.ndarray):
-    """Returns (grad wrt module input, [(grad_w, grad_b) per layer in order])."""
+def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_grad_in: bool = True):
+    """Returns (grad wrt module input, [(grad_w, grad_b) per layer in order]).
+
+    With ``need_grad_in=False`` the first layer skips its input gradient and
+    the first element is None.
+    """
     param_grads = [None] * len(module.layers)
     for i in range(len(module.layers) - 1, -1, -1):
-        grad, gw, gb = conv_backward(module.layers[i], caches[i], grad)
+        grad, gw, gb = conv_backward(module.layers[i], caches[i], grad, need_grad_in=need_grad_in or i > 0)
         param_grads[i] = (gw, gb)
         if i:
             # layer i's input is the ReLU output, the cache relu_forward returned
@@ -204,12 +210,14 @@ def cascade_backward(model: CascadeModel, cache: CascadeCache, grad_out: Complex
     g = grad_out
     for si in range(len(model.stages) - 1, -1, -1):
         g = dc_backward(g, cache.cfg)
+        # stage 0's input is the zero-filled image, which takes no gradient
         module_grad_in, param_grads = module_backward(
-            model.stages[si], cache.stage_caches[si], g.channels
+            model.stages[si], cache.stage_caches[si], g.channels, need_grad_in=si > 0
         )
         per_stage[si] = param_grads
-        # residual connection: gradient flows through the module and the skip
-        g = ComplexImage(module_grad_in + g.channels)
+        if si:
+            # residual connection: gradient flows through the module and the skip
+            g = ComplexImage(module_grad_in + g.channels)
 
     flat = []
     for param_grads in per_stage:

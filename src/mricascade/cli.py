@@ -5,15 +5,14 @@ Exit codes: 0 success, 1 check failure, 2 usage/input error (a bad flag
 value, or any unreadable or malformed checkpoint, image, manifest, mask file
 or ``CASCADE_RECON_THREADS``; commands raise, and only :func:`main` reports it
 as one ``error:`` line), 3 training divergence. Every command is deterministic
-given its flags; ``CASCADE_RECON_THREADS`` caps the evaluation worker count
-and does not change the results.
+given its flags; ``CASCADE_RECON_THREADS`` sets the worker count of ``train``
+and ``evaluate`` and does not change the results.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +32,7 @@ from .gradcheck import run_gradcheck
 from .phantom import PhantomSpec, make_dataset, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng, load_image, load_tensor, save_image, save_tensor
-from .training import TrainConfig, init_adam_state, mse_loss, train_epoch
+from .training import TrainConfig, init_adam_state, mse_loss, train_epoch, worker_count
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -186,9 +185,11 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     # the line budget depends on the image height: check it before anything
-    # is written, on a throwaway stream so training draws stay as they are
+    # is written, on a throwaway stream so training draws stay as they are;
+    # the worker count train_epoch reads is checked here for the same reason
     for height in {img.height for img in images}:
         generate_mask(Rng(0), height, 1, args.acceleration, args.n_low)
+    worker_count()
     train_rng = rng.child(1)
     state = init_adam_state(model.parameters())
     out = Path(args.out)
@@ -251,10 +252,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    raw = os.environ.get("CASCADE_RECON_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InvalidParameterError(f"CASCADE_RECON_THREADS must be a positive integer, got {raw!r}")
-    workers = int(raw)
+    workers = worker_count()
     model = cascade_mod.load_checkpoint(args.checkpoint)
     data_dir = Path(args.data)
     if not (data_dir / MANIFEST_NAME).is_file():

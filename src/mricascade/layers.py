@@ -9,6 +9,8 @@ no more channels than the output, and otherwise multiplies first and scatters
 the k*k shifted products back through col2im. The conv cache keeps only the
 layer input, and the ReLU cache only the ReLU output, which is positive exactly
 where the input is; inside a cascade block the two are the same array.
+conv_backward can skip the input gradient, which a cascade's very first layer
+never needs.
 
 Columns come from a padded-flat layout. An input [C, H, W] is zero-padded by
 p = (k-1)/2 on every side, plus one more zero row, and its rows are laid end to
@@ -183,8 +185,13 @@ def conv_forward(layer: ConvLayer, x: np.ndarray):
     return _correlate(layer.weights, x) + layer.bias[:, None, None], ConvCache(x=x)
 
 
-def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
-    """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b)."""
+def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, need_grad_in: bool = True):
+    """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b).
+
+    With ``need_grad_in=False`` the grad_in product is skipped and grad_in is
+    None; grad_w and grad_b are the same bits either way. A cascade's first
+    layer uses this, because the starting image takes no gradient.
+    """
     c, h, w = cache.x.shape
     if c != layer.n_in:
         raise InvalidShapeError(
@@ -198,22 +205,24 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
     p = (k - 1) // 2
 
     grad_b = grad_out.sum(axis=(1, 2))
-    # the adjoint of a correlation is the correlation with the flipped, transposed kernel
-    w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     # the zero columns _widen appends meet the junk columns of the bands
     if c <= n_out:
         g_wide = _widen(grad_out, p)
         grad_w = _dot_columns(g_wide, cache.x, k).reshape(layer.weights.shape)
-        if c < n_out:
-            # grad_in narrows to c channels: scatter the grad_out already widened
-            return _scatter(w_adj, g_wide, w), grad_w, grad_b
-        del g_wide  # not needed by the gather below, which builds its own columns
     else:
+        g_wide = None
         # columns (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
         flipped = _dot_columns(_widen(cache.x, p), grad_out, k).reshape(c, n_out, k, k)
         grad_w = np.ascontiguousarray(flipped[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    grad_in = _correlate(w_adj, grad_out)
-    return grad_in, grad_w, grad_b
+    if not need_grad_in:
+        return None, grad_w, grad_b
+    # the adjoint of a correlation is the correlation with the flipped, transposed kernel
+    w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if c < n_out:
+        # grad_in narrows to c channels: scatter the grad_out already widened
+        return _scatter(w_adj, g_wide, w), grad_w, grad_b
+    del g_wide  # not needed by the gather below, which builds its own columns
+    return _correlate(w_adj, grad_out), grad_w, grad_b
 
 
 def relu_forward(x: np.ndarray):

@@ -9,17 +9,29 @@ not the decoupled variant.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import CascadeModel, cascade_backward, cascade_forward
 from .errors import InvalidParameterError, InvalidShapeError, TrainingDivergedError
-from .sampling import apply_encoding, generate_mask
+from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng
 
 MAX_AUGMENT_SHIFT = 4
+
+
+def worker_count() -> int:
+    """The worker count of training and evaluation: ``CASCADE_RECON_THREADS``,
+    a positive integer, 1 when unset. Results do not depend on it."""
+    raw = os.environ.get("CASCADE_RECON_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidParameterError(f"CASCADE_RECON_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -128,6 +140,16 @@ def augment(rng: Rng, img: ComplexImage) -> ComplexImage:
     return apply_rigid(img, quarter_turns, hflip, shift)
 
 
+def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
+    """One sample's forward and backward pass: ``(loss, parameter gradients)``,
+    with no gradients when the loss is not finite."""
+    x_cnn, cache = cascade_forward(model, apply_encoding(x_t, mask))
+    loss, grad = mse_loss(x_cnn, x_t)
+    if not np.isfinite(loss):
+        return loss, None
+    return loss, cascade_backward(model, cache, grad)
+
+
 def train_epoch(
     model: CascadeModel,
     dataset: list,
@@ -141,45 +163,62 @@ def train_epoch(
     fresh mask, simulate the acquisition, run forward/backward; per batch,
     average the gradients and take one Adam step.
 
-    Samples are processed by a single worker, which makes epochs bit-for-bit
-    reproducible for a given seed. Returns ``(model, mean per-sample loss)``.
-    Raises :class:`TrainingDivergedError` on a non-finite loss.
+    The calling thread draws every sample's augmentation and mask in order.
+    With ``workers = worker_count()``, sample ``i`` of a batch then runs on the
+    calling thread when ``i % workers == 0`` and on a pool of ``workers - 1``
+    threads otherwise; losses and gradients are summed in sample order. So an
+    epoch is bit-for-bit reproducible for a given seed, whatever the worker
+    count. The pool lives for this call only. Returns
+    ``(model, mean per-sample loss)``. Raises :class:`TrainingDivergedError` on
+    the first non-finite loss in sample order, before that batch's Adam step.
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
+    workers = worker_count()
     order = rng.gen.permutation(len(dataset))
     params = model.parameters()
     losses = []
-    for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-        t0 = time.perf_counter()
-        batch = order[start : start + cfg.batch_size]
-        grads = model.zero_grads()
-        batch_losses = []
-        for idx in batch:
-            x_t = dataset[int(idx)]
-            if cfg.augment:
-                x_t = augment(rng, x_t)
-            mask = generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)
-            meas = apply_encoding(x_t, mask)
-            x_cnn, cache = cascade_forward(model, meas)
-            loss, grad = mse_loss(x_cnn, x_t)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} step {step}",
-                    diagnostics={
-                        "epoch": epoch,
-                        "step": step,
-                        "loss": loss,
-                        "param_max": max(float(np.max(np.abs(p))) for p in params),
-                    },
-                )
-            batch_losses.append(loss)
-            for acc, g in zip(grads, cascade_backward(model, cache, grad)):
-                acc += g
-        for g in grads:
-            g /= len(batch)
-        adam_step(params, grads, state, cfg)
-        losses.extend(batch_losses)
-        if log_fn is not None:
-            log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+            t0 = time.perf_counter()
+            samples = []
+            for idx in order[start : start + cfg.batch_size]:
+                x_t = dataset[int(idx)]
+                if cfg.augment:
+                    x_t = augment(rng, x_t)
+                samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
+            futures = {
+                i: pool.submit(_sample_step, model, *sample)
+                for i, sample in enumerate(samples)
+                if i % workers
+            }
+            grads = model.zero_grads()
+            batch_losses = []
+            try:
+                for i, sample in enumerate(samples):
+                    loss, sample_grads = futures.pop(i).result() if i % workers else _sample_step(model, *sample)
+                    if sample_grads is None:
+                        raise TrainingDivergedError(
+                            f"non-finite loss at epoch {epoch} step {step}",
+                            diagnostics={
+                                "epoch": epoch,
+                                "step": step,
+                                "loss": loss,
+                                "param_max": max(float(np.max(np.abs(p))) for p in params),
+                            },
+                        )
+                    batch_losses.append(loss)
+                    for acc, g in zip(grads, sample_grads):
+                        acc += g
+            except BaseException:
+                # the pool's exit waits only for the samples already running
+                for f in futures.values():
+                    f.cancel()
+                raise
+            for g in grads:
+                g /= len(samples)
+            adam_step(params, grads, state, cfg)
+            losses.extend(batch_losses)
+            if log_fn is not None:
+                log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
     return model, float(np.mean(losses))

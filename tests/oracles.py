@@ -189,7 +189,8 @@ def interleaved_module_forward(module, x: np.ndarray):
     return h, caches
 
 
-def interleaved_module_backward(module, caches: list, grad: np.ndarray):
+def interleaved_module_backward(module, caches: list, grad: np.ndarray, need_grad_in: bool = True):
+    # always computes the input gradient, whatever need_grad_in asks
     param_grads = [None] * len(module.layers)
     ci = len(caches) - 1
     grad, gw, gb = conv_backward(module.layers[-1], caches[ci], grad)

@@ -156,6 +156,17 @@ class TestTrain:
         assert "line budget" in assert_input_error(code, capsys)
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "x", "-1"])
+    def test_bad_worker_count_is_input_error_and_writes_nothing(self, dataset, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        out = tmp_path / "run" / "m.csc1"
+        code = main(
+            ["train", "--data", str(dataset), "--nc", "1", "--nd", "2", "--nf", "2",
+             "--epochs", "1", "--out", str(out)]
+        )
+        assert "CASCADE_RECON_THREADS" in assert_input_error(code, capsys)
+        assert not out.parent.exists()
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a finite training image at the float32 limit overflows the forward
         # pass and drives the loss non-finite (a non-finite image is an input error)

@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from mricascade import (
     adam_step,
     augment,
     build_model,
+    cascade_forward,
     complex_norm_sq,
     init_adam_state,
     mse_loss,
     train_epoch,
 )
+from mricascade import training
 from mricascade.gradcheck import check_mse
 from mricascade.phantom import PhantomSpec, make_dataset
 from mricascade.training import apply_rigid
@@ -226,3 +231,88 @@ class TestTrainEpoch:
         model, _, cfg, state, rng = small_setup()
         with pytest.raises(InvalidParameterError):
             train_epoch(model, [], cfg, rng, state)
+
+
+def train_two_epochs(monkeypatch, workers, n_images, batch_size):
+    monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+    model, images, cfg, state, rng = small_setup(n_images=n_images, batch_size=batch_size)
+    losses = [train_epoch(model, images, cfg, rng, state, epoch=e)[1] for e in range(2)]
+    return losses, model.parameters(), state
+
+
+class TestThreadedTrainEpoch:
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize(
+        "n_images,batch_size", [(5, 1), (8, 4), (13, 4)], ids=["batch1", "batch4", "ragged13by4"]
+    )
+    def test_bit_identical_to_one_worker(self, monkeypatch, workers, n_images, batch_size):
+        losses, params, state = train_two_epochs(monkeypatch, workers, n_images, batch_size)
+        ref_losses, ref_params, ref_state = train_two_epochs(monkeypatch, "1", n_images, batch_size)
+        assert losses == ref_losses
+        assert state.t == ref_state.t == 2 * -(-n_images // batch_size)
+        for got, ref in zip(
+            [*params, *state.m, *state.v], [*ref_params, *ref_state.m, *ref_state.v], strict=True
+        ):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("workers,on_caller", [("1", 4), ("2", 2), ("3", 2)])
+    def test_caller_runs_every_workers_th_sample(self, monkeypatch, workers, on_caller):
+        # a batch of 4: the caller runs samples 0, 2 with 2 workers and 0, 3
+        # with 3; the pool runs the rest and is gone when the epoch returns
+        threads = []
+
+        def spy(model, meas):
+            threads.append(threading.current_thread())
+            return cascade_forward(model, meas)
+
+        monkeypatch.setattr(training, "cascade_forward", spy)
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        model, images, cfg, state, rng = small_setup(n_images=4, batch_size=4)
+        before = threading.active_count()
+        train_epoch(model, images, cfg, rng, state)
+        assert threading.active_count() == before
+        assert len(threads) == 4
+        assert sum(t is threading.main_thread() for t in threads) == on_caller
+        # the pool may run both its samples on one of its threads
+        assert min(int(workers), 2) <= len(set(threads)) <= int(workers)
+
+    def test_divergence_reports_first_sample_in_batch_order(self, monkeypatch):
+        # samples 1 (on the pool) and 2 (on the caller) of the second batch
+        # diverge: the error names sample 1's loss, and that batch takes no Adam step
+        n_images, batch = 8, 4
+        order = Rng(0).child(1).gen.permutation(n_images)
+
+        def run(workers):
+            monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+            model, images, cfg, state, rng = small_setup(n_images=n_images, batch_size=batch, augment=False)
+            bad = {id(images[order[batch + 1]]): math.inf, id(images[order[batch + 2]]): -math.inf}
+
+            def spy(x_cnn, x_t):
+                loss, grad = mse_loss(x_cnn, x_t)
+                return bad.get(id(x_t), loss), grad
+
+            monkeypatch.setattr(training, "mse_loss", spy)
+            stepped = []
+            with pytest.raises(TrainingDivergedError) as exc_info:
+                train_epoch(
+                    model, images, cfg, rng, state, epoch=5,
+                    log_fn=lambda *_: stepped.append([p.copy() for p in model.parameters()]),
+                )
+            assert state.t == len(stepped) == 1
+            for b, p in zip(stepped[0], model.parameters(), strict=True):
+                assert np.array_equal(b, p)
+            return exc_info.value
+
+        serial = run("1")
+        threaded = run("2")
+        assert serial.diagnostics["loss"] == math.inf
+        assert (serial.diagnostics["epoch"], serial.diagnostics["step"]) == (5, 1)
+        assert threaded.diagnostics == serial.diagnostics
+        assert str(threaded) == str(serial)
+
+    @pytest.mark.parametrize("workers", ["0", "x", "-1"])
+    def test_bad_worker_count_rejected(self, monkeypatch, workers):
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        model, images, cfg, state, rng = small_setup()
+        with pytest.raises(InvalidParameterError, match="CASCADE_RECON_THREADS"):
+            train_epoch(model, images, cfg, rng, state)
