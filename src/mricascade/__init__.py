@@ -25,7 +25,7 @@ from .fourier import KSpace, fft2, ifft2
 from .layers import ConvLayer, conv_backward, conv_forward, he_init, relu_backward, relu_forward, residual_add
 from .phantom import PhantomSpec, make_dataset, make_phantom, split_indices
 from .sampling import Measurements, SamplingMask, apply_encoding, generate_mask, zero_filled
-from .tensorcore import ComplexImage, Rng, complex_norm_sq, load_image, load_tensor, normal_draw, save_image, save_tensor, tensor_new
+from .tensorcore import ComplexImage, Rng, complex_norm_sq, load_image, load_tensor, normal_draw, save_image, save_tensor
 from .training import AdamState, TrainConfig, adam_step, augment, init_adam_state, mse_loss, train_epoch
 
 __version__ = "0.1.0"

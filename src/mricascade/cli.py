@@ -6,7 +6,8 @@ value, or any unreadable or malformed checkpoint, image, manifest, mask file
 or ``CASCADE_RECON_THREADS``; commands raise, and only :func:`main` reports it
 as one ``error:`` line), 3 training divergence. Every command is deterministic
 given its flags; ``CASCADE_RECON_THREADS`` sets the worker count of ``train``
-and ``evaluate`` and does not change the results.
+and ``evaluate``, which share one rule (``training.ordered_map``: the calling
+thread runs every workers-th item), and does not change the results.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .gradcheck import run_gradcheck
 from .phantom import PhantomSpec, make_dataset, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng, load_image, load_tensor, save_image, save_tensor
-from .training import TrainConfig, init_adam_state, mse_loss, train_epoch, worker_count
+from .training import TrainConfig, init_adam_state, mse_loss, ordered_map, train_epoch, worker_count
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -252,7 +252,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    workers = worker_count()
     model = cascade_mod.load_checkpoint(args.checkpoint)
     data_dir = Path(args.data)
     if not (data_dir / MANIFEST_NAME).is_file():
@@ -265,9 +264,9 @@ def cmd_evaluate(args) -> int:
         _eval_mask(args.mask_seed, i, img, args.acceleration, args.n_low)
         for i, img in enumerate(images)
     ]
-    # map keeps input order, so the report does not depend on the worker count
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda t: _timed_reconstruct(model, *t), zip(images, masks)))
+    # spread over CASCADE_RECON_THREADS, caller included; results keep input
+    # order, so the report does not depend on the worker count
+    results = ordered_map(lambda t: _timed_reconstruct(model, *t), list(zip(images, masks)))
 
     report = EvalReport(
         model_id=Path(args.checkpoint).name,

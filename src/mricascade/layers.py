@@ -207,10 +207,8 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, n
     grad_b = grad_out.sum(axis=(1, 2))
     # the zero columns _widen appends meet the junk columns of the bands
     if c <= n_out:
-        g_wide = _widen(grad_out, p)
-        grad_w = _dot_columns(g_wide, cache.x, k).reshape(layer.weights.shape)
+        grad_w = _dot_columns(_widen(grad_out, p), cache.x, k).reshape(layer.weights.shape)
     else:
-        g_wide = None
         # columns (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
         flipped = _dot_columns(_widen(cache.x, p), grad_out, k).reshape(c, n_out, k, k)
         grad_w = np.ascontiguousarray(flipped[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
@@ -218,10 +216,6 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, n
         return None, grad_w, grad_b
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
     w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    if c < n_out:
-        # grad_in narrows to c channels: scatter the grad_out already widened
-        return _scatter(w_adj, g_wide, w), grad_w, grad_b
-    del g_wide  # not needed by the gather below, which builds its own columns
     return _correlate(w_adj, grad_out), grad_w, grad_b
 
 

@@ -27,11 +27,12 @@ class PhantomSpec:
     n_ellipses : int
         Number of ellipses summed into the magnitude image (typically 4-10).
     intensity_range : tuple
-        Per-ellipse constant magnitude is drawn uniformly from this range;
-        the summed magnitude is clipped to [0, 1].
+        Per-ellipse constant magnitude is drawn uniformly from this finite,
+        nonnegative range; the summed magnitude is clipped to [0, 1].
     phase_scale : float
         Coefficients of the low-order polynomial phase field are drawn
-        uniformly from [-phase_scale, phase_scale] radians. Must be positive.
+        uniformly from [-phase_scale, phase_scale] radians. Must be finite
+        and positive.
     seed : int
         Drives every random draw; identical spec, identical phantom.
     """
@@ -47,10 +48,13 @@ class PhantomSpec:
         if self.n_ellipses < 0:
             raise InvalidParameterError(f"n_ellipses must be >= 0, got {self.n_ellipses}")
         lo, hi = self.intensity_range
-        if not (0 <= lo <= hi):
+        # NaN fails every comparison, so the `not` forms below reject it
+        if not 0 <= lo <= hi < np.inf:
             raise InvalidParameterError(f"bad intensity range {self.intensity_range}")
-        if self.phase_scale <= 0:
-            raise InvalidParameterError("phase_scale must be > 0 (phantoms are complex-valued)")
+        if not 0 < self.phase_scale < np.inf:
+            raise InvalidParameterError(
+                f"phase_scale must be finite and > 0 (phantoms are complex-valued), got {self.phase_scale}"
+            )
 
 
 def make_phantom(spec: PhantomSpec, dtype=np.float32) -> ComplexImage:

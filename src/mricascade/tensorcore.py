@@ -24,16 +24,6 @@ DEFAULT_DTYPE = np.float32
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
 
-def tensor_new(shape, fill: float = 0.0, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Allocate a row-major tensor of the given shape, filled with a scalar."""
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0:
-        raise InvalidShapeError("tensor shape must have at least one dimension")
-    if any(d < 1 for d in shape):
-        raise InvalidShapeError(f"all dimensions must be >= 1, got {shape}")
-    return np.full(shape, fill, dtype=dtype)
-
-
 class Rng:
     """Deterministic random source: identical seed, identical draw sequence.
 

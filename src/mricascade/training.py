@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,20 @@ def worker_count() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise InvalidParameterError(f"CASCADE_RECON_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def ordered_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` on ``worker_count()`` threads: item ``i`` runs
+    on the calling thread when ``i % workers == 0`` and on a pool of
+    ``workers - 1`` threads otherwise. The pool lives for one call, and one
+    worker makes none. The first exception in item order propagates once the
+    pool has run its items."""
+    workers = worker_count()
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = {i: pool.submit(fn, x) for i, x in enumerate(items) if i % workers}
+        return [futures[i].result() if i % workers else fn(x) for i, x in enumerate(items)]
 
 
 @dataclass
@@ -163,62 +176,47 @@ def train_epoch(
     fresh mask, simulate the acquisition, run forward/backward; per batch,
     average the gradients and take one Adam step.
 
-    The calling thread draws every sample's augmentation and mask in order.
-    With ``workers = worker_count()``, sample ``i`` of a batch then runs on the
-    calling thread when ``i % workers == 0`` and on a pool of ``workers - 1``
-    threads otherwise; losses and gradients are summed in sample order. So an
-    epoch is bit-for-bit reproducible for a given seed, whatever the worker
-    count. The pool lives for this call only. Returns
-    ``(model, mean per-sample loss)``. Raises :class:`TrainingDivergedError` on
-    the first non-finite loss in sample order, before that batch's Adam step.
+    The calling thread draws every sample's augmentation and mask in order;
+    :func:`ordered_map` then runs the batch's samples, one pool per batch, and
+    losses and gradients are summed in sample order. So an epoch is
+    bit-for-bit reproducible for a given seed, whatever the worker count.
+    Returns ``(model, mean per-sample loss)``. Raises
+    :class:`TrainingDivergedError` on the first non-finite loss in sample
+    order, once the whole batch has run and before its Adam step.
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
-    workers = worker_count()
     order = rng.gen.permutation(len(dataset))
     params = model.parameters()
     losses = []
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            t0 = time.perf_counter()
-            samples = []
-            for idx in order[start : start + cfg.batch_size]:
-                x_t = dataset[int(idx)]
-                if cfg.augment:
-                    x_t = augment(rng, x_t)
-                samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
-            futures = {
-                i: pool.submit(_sample_step, model, *sample)
-                for i, sample in enumerate(samples)
-                if i % workers
-            }
-            grads = model.zero_grads()
-            batch_losses = []
-            try:
-                for i, sample in enumerate(samples):
-                    loss, sample_grads = futures.pop(i).result() if i % workers else _sample_step(model, *sample)
-                    if sample_grads is None:
-                        raise TrainingDivergedError(
-                            f"non-finite loss at epoch {epoch} step {step}",
-                            diagnostics={
-                                "epoch": epoch,
-                                "step": step,
-                                "loss": loss,
-                                "param_max": max(float(np.max(np.abs(p))) for p in params),
-                            },
-                        )
-                    batch_losses.append(loss)
-                    for acc, g in zip(grads, sample_grads):
-                        acc += g
-            except BaseException:
-                # the pool's exit waits only for the samples already running
-                for f in futures.values():
-                    f.cancel()
-                raise
-            for g in grads:
-                g /= len(samples)
-            adam_step(params, grads, state, cfg)
-            losses.extend(batch_losses)
-            if log_fn is not None:
-                log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
+    for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+        t0 = time.perf_counter()
+        samples = []
+        for idx in order[start : start + cfg.batch_size]:
+            x_t = dataset[int(idx)]
+            if cfg.augment:
+                x_t = augment(rng, x_t)
+            samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
+        grads = model.zero_grads()
+        batch_losses = []
+        for loss, sample_grads in ordered_map(lambda s: _sample_step(model, *s), samples):
+            if sample_grads is None:
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch} step {step}",
+                    diagnostics={
+                        "epoch": epoch,
+                        "step": step,
+                        "loss": loss,
+                        "param_max": max(float(np.max(np.abs(p))) for p in params),
+                    },
+                )
+            batch_losses.append(loss)
+            for acc, g in zip(grads, sample_grads):
+                acc += g
+        for g in grads:
+            g /= len(samples)
+        adam_step(params, grads, state, cfg)
+        losses.extend(batch_losses)
+        if log_fn is not None:
+            log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
     return model, float(np.mean(losses))

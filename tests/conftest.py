@@ -5,6 +5,13 @@ import pytest
 from mricascade import sampling
 
 
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    """Every test starts from the default of one worker, whatever the session
+    environment holds; tests that want threads set CASCADE_RECON_THREADS."""
+    monkeypatch.delenv("CASCADE_RECON_THREADS", raising=False)
+
+
 @pytest.fixture
 def zero_filled_calls(monkeypatch):
     """Count calls of ``sampling.zero_filled`` made through any mricascade

@@ -2,6 +2,7 @@ import filecmp
 import io
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mricascade import (
     zero_filled,
     zero_model,
 )
+from mricascade import cli
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
 from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor, write_tensor
 
@@ -342,6 +344,28 @@ class TestEvaluateParallel:
             reports[workers] = path.read_text()
         assert reports["1"] == reports["3"]
         assert (tmp_path / "r1.csv.txt").read_text().startswith("model:")
+
+    @pytest.mark.parametrize("workers,on_caller", [("1", 5), ("2", 3), ("3", 2)])
+    def test_caller_runs_every_workers_th_image(self, dataset, tmp_path, capsys, monkeypatch, workers, on_caller):
+        threads = []
+        forward = cli.cascade_mod.cascade_forward
+
+        def spy(model, meas):
+            threads.append(threading.current_thread())
+            return forward(model, meas)
+
+        monkeypatch.setattr(cli.cascade_mod, "cascade_forward", spy)
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(3), 1, 2, 4), ckpt)
+        before = threading.active_count()
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", "train",
+                     "--acceleration", "3", "--n-low", "4"])
+        assert code == 0
+        capsys.readouterr()
+        assert threading.active_count() == before
+        assert len(threads) == 5
+        assert sum(t is threading.main_thread() for t in threads) == on_caller
 
     def test_one_zero_fill_per_image(self, dataset, tmp_path, capsys, zero_filled_calls):
         ckpt = tmp_path / "m.csc1"

@@ -31,6 +31,21 @@ class TestMakePhantom:
         with pytest.raises(InvalidParameterError):
             PhantomSpec(phase_scale=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"phase_scale": np.nan},
+            {"phase_scale": np.inf},
+            {"intensity_range": (0.1, np.inf)},
+            {"intensity_range": (0.1, np.nan)},
+            {"intensity_range": (np.nan, 1.0)},
+        ],
+        ids=["phase-nan", "phase-inf", "range-inf", "range-nan-hi", "range-nan-lo"],
+    )
+    def test_rejects_non_finite_values(self, field):
+        with pytest.raises(InvalidParameterError):
+            PhantomSpec(**field)
+
     def test_rejects_negative_ellipse_count(self):
         with pytest.raises(InvalidParameterError):
             PhantomSpec(n_ellipses=-1)

@@ -10,42 +10,8 @@ from mricascade import (
     Rng,
     complex_norm_sq,
     normal_draw,
-    tensor_new,
 )
 from mricascade.tensorcore import load_tensor, read_tensor, save_tensor, write_tensor
-
-
-class TestTensorNew:
-    def test_zero_fill(self):
-        t = tensor_new([2, 2], 0.0)
-        assert t.shape == (2, 2)
-        assert np.all(t == 0.0)
-
-    def test_singleton(self):
-        assert tensor_new([1], 3.5).tolist() == [3.5]
-
-    def test_product_of_dims(self):
-        t = tensor_new([2, 3, 4], 1.0)
-        assert t.size == 24
-        assert np.all(t == 1.0)
-
-    def test_empty_shape_rejected(self):
-        with pytest.raises(InvalidShapeError):
-            tensor_new([], 0.0)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(InvalidShapeError):
-            tensor_new([2, 0], 0.0)
-
-    def test_row_major_offset(self):
-        # element (c, i, j) of a [2, H, W] tensor lives at c*H*W + i*W + j
-        t = tensor_new([2, 4, 6], 0.0, dtype=np.float64)
-        t[1, 2, 3] = 7.0
-        flat = t.ravel(order="C")
-        assert flat[1 * 4 * 6 + 2 * 6 + 3] == 7.0
-        flat2 = t.copy().ravel(order="C")
-        flat2[0 * 4 * 6 + 3 * 6 + 5] = -2.0
-        assert flat2.reshape(2, 4, 6)[0, 3, 5] == -2.0
 
 
 class TestComplexImage:

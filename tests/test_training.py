@@ -233,6 +233,42 @@ class TestTrainEpoch:
             train_epoch(model, [], cfg, rng, state)
 
 
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers,on_caller", [("1", 5), ("2", 3), ("3", 2)])
+    def test_input_order_and_caller_share(self, monkeypatch, workers, on_caller):
+        # the caller runs items 0, 2, 4 with 2 workers and 0, 3 with 3
+        threads = []
+
+        def square(x):
+            threads.append(threading.current_thread())
+            return x * x
+
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        before = threading.active_count()
+        assert training.ordered_map(square, [0, 1, 2, 3, 4]) == [0, 1, 4, 9, 16]
+        assert threading.active_count() == before
+        assert sum(t is threading.main_thread() for t in threads) == on_caller
+
+    @pytest.mark.parametrize("bad", [1, 2], ids=["pool-item", "caller-item"])
+    def test_exception_propagates_and_leaves_no_thread(self, monkeypatch, bad):
+        # with 2 workers item 1 runs on the pool and item 2 on the caller;
+        # either way the pool's item 3 runs before the error reaches the caller
+        ran = []
+
+        def fail_on_bad(x):
+            ran.append(x)
+            if x == bad:
+                raise ValueError(f"item {x}")
+            return x
+
+        monkeypatch.setenv("CASCADE_RECON_THREADS", "2")
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"item {bad}"):
+            training.ordered_map(fail_on_bad, [0, 1, 2, 3, 4])
+        assert threading.active_count() == before
+        assert 3 in ran and 4 not in ran
+
+
 def train_two_epochs(monkeypatch, workers, n_images, batch_size):
     monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
     model, images, cfg, state, rng = small_setup(n_images=n_images, batch_size=batch_size)
