@@ -9,11 +9,26 @@ measurements outright) that is the paper's form
     dc(x) = F^H D F x + w * F_u^H y,    D = 1 - w on sampled lines, 1 elsewhere
 
 a fixed linear map plus a scaled copy of the zero-filled image ``F_u^H y``.
+
+Masks are whole phase-encode lines (image rows), so ``D`` scales rows of
+k-space and the readout transform along the width cancels against its
+inverse: ``F^H D F x = x - w * F_S^H F_S x``, where ``F_S`` holds the |S|
+sampled rows of the orthonormal 1-D DFT over the height and acts on each
+column of the image. Write ``F_S = C + iS``. On the two channels stacked into
+a real ``[2H, W]`` array (real part above imaginary part), ``F_S`` acts as the
+real ``[2|S|, 2H]`` matrix ``M = [[C, -S], [S, C]]`` and ``F_S^H`` as
+``M^T``, so
+
+    dc(x) = x - w * M^T (M x) + w * x_u
+
+is two thin real matrix products. ``M`` is built once per :class:`DcConfig`;
+it and ``w * x_u`` are cast once to the dtype of the image they are applied
+to, so the DC arithmetic runs in the model's precision.
+
 The layer has no trainable parameters. Its Jacobian with respect to the input
-is the linear part ``F^H D F``; under the orthonormal transform convention
-that map is self-adjoint, so the backward pass applies it to the upstream
-gradient, treating the two channels as one complex field. The measurements
-are per-sample constants and receive no gradient.
+is the linear part ``I - w * M^T M``, which is symmetric, so the backward
+pass applies it to the upstream gradient. The measurements are per-sample
+constants and receive no gradient.
 """
 
 from __future__ import annotations
@@ -65,27 +80,54 @@ class DcConfig:
         return zero_filled(self.measured)
 
     @cached_property
-    def _measured_part(self) -> np.ndarray:
-        return self.weight * self.zero_fill.to_complex()
+    def _operator(self) -> np.ndarray:
+        """``M = [[C, -S], [S, C]]`` in float64, from the sampled rows
+        ``F_S = C + iS`` of the orthonormal 1-D DFT over the height.
+
+        The DFT of the sampled unit vectors gives the matching columns of the
+        DFT matrix, which is symmetric, so they are its rows.
+        """
+        unit = np.eye(self.mask.height)[self.mask.phase_lines, :, None]
+        f_s = fft2_complex(unit)[:, :, 0]
+        return np.block([[f_s.real, -f_s.imag], [f_s.imag, f_s.real]])
+
+    @cached_property
+    def _weighted_zero_fill(self) -> np.ndarray:
+        """``w * x_u`` as a float64 ``[2H, W]`` array."""
+        x_u = self.zero_fill.channels.astype(np.float64)
+        return self.weight * x_u.reshape(2 * self.mask.height, self.mask.width)
+
+    @cached_property
+    def _casts(self) -> dict:
+        return {}
+
+    def _cast(self, name: str, dtype) -> np.ndarray:
+        """The float64 constant ``_operator`` or ``_weighted_zero_fill`` in
+        ``dtype``, cast on first use and kept."""
+        key = (name, np.dtype(dtype))
+        if key not in self._casts:
+            self._casts[key] = getattr(self, name).astype(dtype, copy=False)
+        return self._casts[key]
 
 
-def _jacobian(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
-    """``F^H D F img`` as a complex128 array: sampled lines scaled by 1 - w."""
+def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
+    """``F^H D F img = x - w * M^T (M x)`` as a ``[2H, W]`` array in img's dtype."""
     if (img.height, img.width) != (cfg.mask.height, cfg.mask.width):
         raise InvalidShapeError(
             f"image is {img.height}x{img.width} but mask is "
             f"{cfg.mask.height}x{cfg.mask.width}"
         )
-    k = fft2_complex(img.to_complex())
-    k[cfg.mask.phase_lines, :] *= 1.0 - cfg.weight
-    return fft2_complex(k, inverse=True)
+    x = img.channels.reshape(2 * img.height, img.width)
+    m = cfg._cast("_operator", img.dtype)
+    return x - cfg.weight * (m.T @ (m @ x))
 
 
 def dc_forward(x: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Blend the k-space of x with the measurements on the sampled set."""
-    return ComplexImage.from_complex(_jacobian(x, cfg) + cfg._measured_part, dtype=x.dtype)
+    out = _linear_part(x, cfg) + cfg._cast("_weighted_zero_fill", x.dtype)
+    return ComplexImage(out.reshape(x.channels.shape))
 
 
 def dc_backward(grad_out: ComplexImage, cfg: DcConfig) -> ComplexImage:
-    """Apply the layer's (constant, self-adjoint) Jacobian to the gradient."""
-    return ComplexImage.from_complex(_jacobian(grad_out, cfg), dtype=grad_out.dtype)
+    """Apply the layer's (constant, symmetric) Jacobian to the gradient."""
+    return ComplexImage(_linear_part(grad_out, cfg).reshape(grad_out.channels.shape))

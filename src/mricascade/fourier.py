@@ -39,7 +39,12 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
 
 def fft2_complex(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Orthonormal 2D DFT over the last two axes; the complex128 DFT matrices
-    make the arithmetic complex128 whatever the input dtype."""
+    make the arithmetic complex128 whatever the input dtype.
+
+    Its callers are the encoding (:func:`fft2`), the zero-fill
+    (:func:`ifft2`) and the build of the data-consistency operator, once per
+    ``dclayer.DcConfig``; the cascade loop itself makes no DFT call.
+    """
     h, w = z.shape[-2], z.shape[-1]
     sign = 1 if inverse else -1
     return (_dft_matrix(h, sign) @ z @ _dft_matrix(w, sign)) / math.sqrt(h * w)

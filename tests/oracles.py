@@ -232,6 +232,29 @@ def line_replacement_dc_backward(grad_out, cfg):
     return ComplexImage.from_complex(fft2_complex(k, inverse=True), dtype=grad_out.dtype)
 
 
+# The data-consistency layer from before it was written as two real matrix
+# products per mask: its linear part is a complex128 round trip through the
+# 2-D DFT with the sampled lines scaled by 1 - w, and the weighted zero-fill
+# is added in complex128 before the cast to the input's dtype. Kept as the
+# old-vs-new equivalence reference for mricascade.dclayer.
+
+
+def complex_jacobian(img, cfg):
+    """``F^H D F img`` as a complex128 array: sampled lines scaled by 1 - w."""
+    k = fft2_complex(img.to_complex())
+    k[cfg.mask.phase_lines, :] *= 1.0 - cfg.weight
+    return fft2_complex(k, inverse=True)
+
+
+def complex_dc_forward(x, cfg):
+    measured_part = cfg.weight * cfg.zero_fill.to_complex()
+    return ComplexImage.from_complex(complex_jacobian(x, cfg) + measured_part, dtype=x.dtype)
+
+
+def complex_dc_backward(grad_out, cfg):
+    return ComplexImage.from_complex(complex_jacobian(grad_out, cfg), dtype=grad_out.dtype)
+
+
 # The CSC1 loader from before checkpoints were built through
 # mricascade.cascade._assemble: it reads every tensor into a dict keyed by
 # name, then looks the layers up by name in a channel plan of its own. It

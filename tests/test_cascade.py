@@ -31,6 +31,7 @@ from mricascade import (
     zero_model,
 )
 from mricascade import cascade as cascade_mod
+from mricascade import dclayer
 from mricascade.cascade import module_forward
 from mricascade.gradcheck import check_cascade
 from oracles import (
@@ -119,6 +120,31 @@ class TestOneZeroFill:
         for a, b in zip(got_grads, expect_grads):
             assert a.dtype == b.dtype == dtype
             assert np.max(np.abs(a - b)) <= tol * scale
+
+
+class TestNoComplexRoundTripPerStage:
+    def test_one_operator_build_and_one_zero_fill(self, monkeypatch):
+        # measurements are encoded before counting starts
+        _, meas, _ = problem(13, dtype=np.float32)
+        model = build_model(Rng(14), n_c=3, n_d=3, n_f=16)
+        dft_calls, to_complex_calls = [], []
+        dft, to_complex = dclayer.fft2_complex, ComplexImage.to_complex
+
+        def counted_dft(z, inverse=False):
+            dft_calls.append(z.shape)
+            return dft(z, inverse)
+
+        def counted_to_complex(img):
+            to_complex_calls.append(img.channels.shape)
+            return to_complex(img)
+
+        monkeypatch.setattr(dclayer, "fft2_complex", counted_dft)
+        monkeypatch.setattr(ComplexImage, "to_complex", counted_to_complex)
+        out, cache = cascade_forward(model, meas)
+        cascade_backward(model, cache, out)
+        assert dft_calls == [(meas.mask.line_count, 16, 1)]
+        assert to_complex_calls == [(2, 16, 16)]
+        assert out.dtype == np.float32
 
 
 class TestInferenceMemory:
