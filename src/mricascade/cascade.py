@@ -7,11 +7,20 @@ not a full mapping), and then restores the measured k-space coefficients.
 Stages have independent weights. With every parameter zero the whole cascade
 is the identity on consistent inputs, which is asserted by the tests.
 
+A block pads its input once into the padded-flat layout of
+:mod:`mricascade.layers`, and its activations stay in that layout from its
+first layer to its last: each conv writes the next layer's padded input, with
+the bias added and the border re-zeroed in place, and the ReLU runs over the
+whole buffer. Only the block output is trimmed.
+
 For the backward pass a block keeps one array per conv layer, that layer's
-input. Past the first layer the input is a ReLU output, which is all the
-ReLU's backward needs, so no pre-activation is kept. The backward pass stops
-at stage 0's first layer: the zero-filled starting image takes no gradient,
-so that layer's input gradient is never computed.
+padded-flat input, which conv_backward reads without padding it again. Past
+the first layer the input is a ReLU output, which is all the ReLU's backward
+needs, so no pre-activation is kept. Inference (:func:`reconstruct` and the
+command line) keeps no caches: each layer input is freed once the next layer
+has been computed. The backward pass stops at stage 0's first layer: the
+zero-filled starting image takes no gradient, so that layer's input gradient
+is never computed.
 """
 
 from __future__ import annotations
@@ -32,11 +41,14 @@ from .errors import (
     InvalidStateError,
 )
 from .layers import (
+    ConvCache,
     ConvLayer,
     ReluCache,
     conv_backward,
-    conv_forward,
+    conv_forward_padded,
     he_init,
+    interior,
+    pad_flat,
     relu_backward,
     relu_forward,
     residual_add,
@@ -52,9 +64,14 @@ DEFAULT_PROFILE = {"n_c": 5, "n_d": 5, "n_f": 64, "k": 3}
 class CnnModule:
     """One de-aliasing block: (n_d - 1) conv+ReLU layers, then a conv that
     projects back to two channels with no nonlinearity (its output must span
-    negative real/imaginary values)."""
+    negative real/imaginary values). Every layer has the same kernel size,
+    so one padding serves the whole block."""
 
     layers: list
+
+    def __post_init__(self):
+        if len({layer.kernel_size for layer in self.layers}) > 1:
+            raise InvalidShapeError("the layers of a block must share one kernel size")
 
 
 @dataclass(eq=False)
@@ -134,16 +151,24 @@ def zero_model(n_c: int, n_d: int, n_f: int, k: int = 3, lam: float = math.inf, 
     )
 
 
-def module_forward(module: CnnModule, x: np.ndarray):
-    """Returns the block output and one ConvCache per layer, in layer order."""
-    h = x
+def module_forward(module: CnnModule, x: np.ndarray, *, _keep_caches: bool = True):
+    """Returns the block output and one ConvCache per layer, in layer order;
+    no caches with ``_keep_caches=False``.
+
+    The input is padded once. From there every activation is a padded-flat
+    buffer whose border each conv zeroes, so the ReLU runs on the whole
+    buffer (max(0, 0) keeps the border zero) and the next conv reads it as is.
+    """
+    p = (module.layers[0].kernel_size - 1) // 2
+    h = pad_flat(x, p)
     caches = []
     for i, layer in enumerate(module.layers):
         if i:
             h, _ = relu_forward(h)
-        h, c = conv_forward(layer, h)
-        caches.append(c)
-    return h, caches
+        if _keep_caches:
+            caches.append(ConvCache(xp=h, p=p))
+        h = conv_forward_padded(layer, h)
+    return interior(h, p), caches
 
 
 def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_grad_in: bool = True):
@@ -170,21 +195,25 @@ class CascadeCache:
     layer_shapes: list  # weight shapes, for stale-cache detection
 
 
-def cascade_forward(model: CascadeModel, meas: Measurements):
+def cascade_forward(model: CascadeModel, meas: Measurements, *, _keep_caches: bool = True):
     """Run the cascade from the zero-filled image ``DcConfig.zero_fill``,
     cast to the model's precision.
 
     Returns the reconstruction and the cache for :func:`cascade_backward`;
-    ``cache.cfg.zero_fill`` is the starting image.
+    ``cache.cfg.zero_fill`` is the starting image. Inference passes
+    ``_keep_caches=False``: every layer input is then freed once the next
+    layer has read it, and the cache holds no stage caches, so
+    :func:`cascade_backward` rejects it.
     """
     cfg = DcConfig(measured=meas, lam=model.lam)
     x = cfg.zero_fill.astype(model.dtype)
     stage_caches = []
     for stage in model.stages:
-        h, caches = module_forward(stage, x.channels)
+        h, caches = module_forward(stage, x.channels, _keep_caches=_keep_caches)
         r = residual_add(ComplexImage(h), x)
         x = dc_forward(r, cfg)
-        stage_caches.append(caches)
+        if _keep_caches:
+            stage_caches.append(caches)
     cache = CascadeCache(
         stage_caches=stage_caches,
         cfg=cfg,
@@ -325,5 +354,5 @@ def load_checkpoint(path) -> CascadeModel:
 
 
 def reconstruct(model: CascadeModel, meas: Measurements) -> ComplexImage:
-    """Zero-fill and run the cascade (the inference entry point)."""
-    return cascade_forward(model, meas)[0]
+    """Zero-fill and run the cascade, keeping no caches (the inference entry point)."""
+    return cascade_forward(model, meas, _keep_caches=False)[0]

@@ -21,9 +21,11 @@ real ``[2|S|, 2H]`` matrix ``M = [[C, -S], [S, C]]`` and ``F_S^H`` as
 
     dc(x) = x - w * M^T (M x) + w * x_u
 
-is two thin real matrix products. ``M`` is built once per :class:`DcConfig`;
-it and ``w * x_u`` are cast once to the dtype of the image they are applied
-to, so the DC arithmetic runs in the model's precision.
+is two thin real matrix products. ``M`` depends on the mask alone, so it is
+built once per :class:`SamplingMask` object, in the dtype of the image it is
+first applied to, and kept on the mask; ``w * x_u`` is cast once per
+:class:`DcConfig`. So the DC arithmetic runs in the model's precision, and
+the slices of a volume, which share a mask, share one build.
 
 The layer has no trainable parameters. Its Jacobian with respect to the input
 is the linear part ``I - w * M^T M``, which is symmetric, so the backward
@@ -80,34 +82,34 @@ class DcConfig:
         return zero_filled(self.measured)
 
     @cached_property
-    def _operator(self) -> np.ndarray:
-        """``M = [[C, -S], [S, C]]`` in float64, from the sampled rows
-        ``F_S = C + iS`` of the orthonormal 1-D DFT over the height.
-
-        The DFT of the sampled unit vectors gives the matching columns of the
-        DFT matrix, which is symmetric, so they are its rows.
-        """
-        unit = np.eye(self.mask.height)[self.mask.phase_lines, :, None]
-        f_s = fft2_complex(unit)[:, :, 0]
-        return np.block([[f_s.real, -f_s.imag], [f_s.imag, f_s.real]])
-
-    @cached_property
-    def _weighted_zero_fill(self) -> np.ndarray:
-        """``w * x_u`` as a float64 ``[2H, W]`` array."""
-        x_u = self.zero_fill.channels.astype(np.float64)
-        return self.weight * x_u.reshape(2 * self.mask.height, self.mask.width)
-
-    @cached_property
-    def _casts(self) -> dict:
+    def _measured_parts(self) -> dict:
         return {}
 
-    def _cast(self, name: str, dtype) -> np.ndarray:
-        """The float64 constant ``_operator`` or ``_weighted_zero_fill`` in
-        ``dtype``, cast on first use and kept."""
-        key = (name, np.dtype(dtype))
-        if key not in self._casts:
-            self._casts[key] = getattr(self, name).astype(dtype, copy=False)
-        return self._casts[key]
+    def _measured_part(self, dtype) -> np.ndarray:
+        """``w * x_u`` as a ``[2H, W]`` array in ``dtype``, computed in float64
+        on first use per dtype and kept."""
+        key = np.dtype(dtype)
+        if key not in self._measured_parts:
+            x_u = self.zero_fill.channels.astype(np.float64).reshape(2 * self.mask.height, self.mask.width)
+            self._measured_parts[key] = (self.weight * x_u).astype(key, copy=False)
+        return self._measured_parts[key]
+
+
+def _operator(mask: SamplingMask, dtype) -> np.ndarray:
+    """``M = [[C, -S], [S, C]]`` in ``dtype``, from the sampled rows
+    ``F_S = C + iS`` of the orthonormal 1-D DFT over the height. Built in
+    float64 on first use per mask and dtype, cast, and kept on the mask.
+
+    The DFT of the sampled unit vectors gives the matching columns of the
+    DFT matrix, which is symmetric, so they are its rows.
+    """
+    key = np.dtype(dtype)
+    ops = mask.dc_operators
+    if key not in ops:
+        unit = np.eye(mask.height)[mask.phase_lines, :, None]
+        f_s = fft2_complex(unit)[:, :, 0]
+        ops[key] = np.block([[f_s.real, -f_s.imag], [f_s.imag, f_s.real]]).astype(key, copy=False)
+    return ops[key]
 
 
 def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
@@ -118,13 +120,13 @@ def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
             f"{cfg.mask.height}x{cfg.mask.width}"
         )
     x = img.channels.reshape(2 * img.height, img.width)
-    m = cfg._cast("_operator", img.dtype)
+    m = _operator(cfg.mask, img.dtype)
     return x - cfg.weight * (m.T @ (m @ x))
 
 
 def dc_forward(x: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Blend the k-space of x with the measurements on the sampled set."""
-    out = _linear_part(x, cfg) + cfg._cast("_weighted_zero_fill", x.dtype)
+    out = _linear_part(x, cfg) + cfg._measured_part(x.dtype)
     return ComplexImage(out.reshape(x.channels.shape))
 
 

@@ -7,21 +7,33 @@ correlation, forward or backward, copies only its thinner side k*k times: it
 gathers the shifted input into channel-major im2col columns when the input has
 no more channels than the output, and otherwise multiplies first and scatters
 the k*k shifted products back through col2im. The conv cache keeps only the
-layer input, and the ReLU cache only the ReLU output, which is positive exactly
-where the input is; inside a cascade block the two are the same array.
-conv_backward can skip the input gradient, which a cascade's very first layer
-never needs.
+layer input, in the padded-flat layout below, and the ReLU cache only the ReLU
+output, which is positive exactly where the input is; inside a cascade block
+the two are the same array. conv_backward can skip the input gradient, which a
+cascade's very first layer never needs.
 
-Columns come from a padded-flat layout. An input [C, H, W] is zero-padded by
-p = (k-1)/2 on every side, plus one more zero row, and its rows are laid end to
-end with stride Wp = W + 2p. Tap (di, dj) is then one contiguous slice of
-H*Wp values starting at di*Wp + dj, so im2col is k*k slice copies and col2im
-k*k slice adds. The extra zero row keeps the last tap's slice in bounds. Each
-image row is followed by 2p junk columns, which read the padding and the start
-of the next row. The junk columns of a correlation's output are dropped. Where
-junk would be summed instead, in the weight gradient's GEMM over the spatial
-axis and in the products col2im scatters, the operand it meets is widened with
-2p zero columns per row, so the junk adds exact zeros.
+Every correlation reads a padded-flat layout. An input [C, H, W] is held
+zero-padded by p = (k-1)/2 on every side, plus one more zero row, as a
+contiguous [C, H+2p+1, Wp] array with Wp = W + 2p, so its rows lie end to end.
+Tap (di, dj) is then one contiguous slice of H*Wp values starting at
+di*Wp + dj, so im2col is k*k slice copies and col2im k*k slice adds. The extra
+zero row keeps the last tap's slice in bounds. Each image row is followed by
+2p junk columns, which read the padding and the start of the next row. A
+correlation's output is a padded-flat buffer of the same shape, written from
+offset p*Wp + p on, so each output value lands where the next layer reads it
+and the junk columns land on the next layer's padding. Where junk would be
+summed, in the weight gradient's GEMM over the spatial axis and in the
+products col2im scatters, the operand it meets is the slice of a padded-flat
+buffer from its first image value on: the image with 2p zero columns after
+each row, so the junk adds exact zeros.
+
+conv_forward keeps the [C, H, W] -> [n_out, H, W] contract: it pads, calls
+the correlation, and trims the output while adding the bias. Inside a cascade
+block, activations stay padded-flat from the first layer to the last through
+conv_forward_padded: it adds the bias in place over the output rows, then
+re-zeroes the border, junk columns included, because it is the next layer's
+padding. The ReLU then runs over the whole buffer, since max(0, 0) keeps the
+border zero, and the block pads only its input.
 
 The columns are never built whole. They are built one band of consecutive flat
 output columns at a time, into one buffer of at most _BAND_BYTES that each band
@@ -79,7 +91,13 @@ def he_init(rng: Rng, n_out: int, n_in: int, k: int, dtype=np.float32) -> ConvLa
 
 @dataclass(eq=False)
 class ConvCache:
-    x: np.ndarray  # [n_in, H, W] layer input; conv_backward rebuilds the columns from it
+    xp: np.ndarray  # [n_in, H+2p+1, W+2p]: the layer input, padded-flat, as conv_backward reads it
+    p: int  # its padding
+
+    @property
+    def x(self) -> np.ndarray:
+        """The [n_in, H, W] layer input, a view of ``xp``."""
+        return interior(self.xp, self.p)
 
 
 @dataclass(eq=False)
@@ -87,12 +105,25 @@ class ReluCache:
     x: np.ndarray  # the ReLU output, positive exactly where the ReLU input is
 
 
-def _widen(x: np.ndarray, p: int) -> np.ndarray:
-    # [C, H*Wp]: each row of x followed by 2p zero columns
+def pad_flat(x: np.ndarray, p: int) -> np.ndarray:
+    """x [C, H, W] in the padded-flat layout [C, H+2p+1, W+2p], zero outside the image."""
     c, h, w = x.shape
-    xw = np.zeros((c, h, w + 2 * p), dtype=x.dtype)
-    xw[:, :, :w] = x
-    return xw.reshape(c, -1)
+    xp = np.zeros((c, h + 2 * p + 1, w + 2 * p), dtype=x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    return xp
+
+
+def interior(xp: np.ndarray, p: int) -> np.ndarray:
+    """The [C, H, W] image held in a padded-flat buffer, as a view."""
+    return xp[:, p : xp.shape[1] - p - 1, p : xp.shape[2] - p]
+
+
+def _rows(xp: np.ndarray, p: int) -> np.ndarray:
+    """[C, H*Wp] view of a contiguous padded-flat buffer from its first image
+    value on: each image row followed by the 2p border values that separate it
+    from the next, its junk columns."""
+    c, hp, wp = xp.shape
+    return xp.reshape(c, -1)[:, p * wp + p :][:, : (hp - 2 * p - 1) * wp]
 
 
 # bytes of one band of conv columns: half of a 2 MiB L2, so a band and the
@@ -100,26 +131,23 @@ def _widen(x: np.ndarray, p: int) -> np.ndarray:
 _BAND_BYTES = 1 << 20
 
 
-def _column_bands(x: np.ndarray, k: int):
-    """Yield (a, b, cols): the im2col columns a..b of x, one band at a time.
+def _column_bands(xp: np.ndarray, k: int):
+    """Yield (a, b, cols): the im2col columns a..b of the padded-flat xp, one band at a time.
 
     cols is [C*k*k, b-a]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
     over flat output columns a..b of [H, Wp], each image row followed by 2p junk
     columns. Every band is a view of one buffer that the next band overwrites.
     """
-    c, h, w = x.shape
+    c, hp, wp = xp.shape
     p = (k - 1) // 2
-    wp = w + 2 * p
-    n = h * wp
-    xp = np.zeros((c, h + 2 * p + 1, wp), dtype=x.dtype)
-    xp[:, p : p + h, p : p + w] = x
+    n = (hp - 2 * p - 1) * wp
     xf = xp.reshape(c, -1)
     rows = c * k * k
     # at least 64 and a multiple of 64 columns: BLAS then sums every output column
     # in the order one GEMM over all columns would (bands of 16 or 164 columns
     # change the last bits of the output)
-    width = min(n, max(64, _BAND_BYTES // (rows * x.itemsize) // 64 * 64))
-    buf = np.empty(rows * width, dtype=x.dtype)
+    width = min(n, max(64, _BAND_BYTES // (rows * xp.itemsize) // 64 * 64))
+    buf = np.empty(rows * width, dtype=xp.dtype)
     for a in range(0, n, width):
         b = min(a + width, n)
         cols = buf[: rows * (b - a)].reshape(c, k * k, b - a)
@@ -130,47 +158,51 @@ def _column_bands(x: np.ndarray, k: int):
         yield a, b, cols.reshape(rows, b - a)
 
 
-def _dot_columns(lhs: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    # lhs [R, H*Wp] times the transposed columns of x: [R, C*k*k], summed band by band
-    acc = np.zeros((lhs.shape[0], x.shape[0] * k * k), dtype=np.result_type(lhs, x))
-    for a, b, cols in _column_bands(x, k):
+def _dot_columns(lhs: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
+    # lhs [R, H*Wp] times the transposed columns of xp: [R, C*k*k], summed band by band
+    acc = np.zeros((lhs.shape[0], xp.shape[0] * k * k), dtype=np.result_type(lhs, xp))
+    for a, b, cols in _column_bands(xp, k):
         acc += lhs[:, a:b] @ cols.T
     return acc
 
 
-def _scatter(w4: np.ndarray, xw: np.ndarray, w: int) -> np.ndarray:
-    """Correlation of a widened input xw [n_in, H*Wp] with w4 [n_out, n_in, k, k] -> [n_out, H, W].
+def _scatter(w4: np.ndarray, xw: np.ndarray, wp: int) -> np.ndarray:
+    """Correlation of the rows xw [n_in, H*Wp] of a padded-flat input with w4 [n_out, n_in, k, k].
 
     Multiplies first, then adds the k*k shifted products back: row (o, di, dj)
     of the flipped kernel's product goes to offset di*Wp + dj of the
-    padded-flat output, and what lands in the padding is dropped.
+    padded-flat output, which is returned whole.
     """
     n_out, n_in, k, _ = w4.shape
     p = (k - 1) // 2
-    wp = w + 2 * p
     n = xw.shape[1]
     wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
     prods = (wrows @ xw).reshape(n_out, k * k, n)
-    out = np.zeros((n_out, n + (2 * p + 1) * wp), dtype=prods.dtype)
+    out = np.zeros((n_out, n // wp + 2 * p + 1, wp), dtype=prods.dtype)
+    flat = out.reshape(n_out, -1)
     for di in range(k):
         for dj in range(k):
             s = di * wp + dj
-            out[:, s : s + n] += prods[:, di * k + dj]
-    return out[:, p * wp + p :][:, :n].reshape(n_out, -1, wp)[:, :, :w]
+            flat[:, s : s + n] += prods[:, di * k + dj]
+    return out
 
 
-def _correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation of x [n_in, H, W] with w4 [n_out, n_in, k, k]."""
+def _correlate(w4: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation of the padded-flat xp with w4 [n_out, n_in, k, k].
+
+    Returns a padded-flat [n_out, H+2p+1, W+2p] buffer whose _rows hold the
+    result, junk columns included; its other values are undefined.
+    """
     n_out, n_in, k, _ = w4.shape
-    _, h, w = x.shape
     p = (k - 1) // 2
     if n_in > n_out:
-        return _scatter(w4, _widen(x, p), w)
+        return _scatter(w4, _rows(xp, p), xp.shape[2])
     w2 = w4.reshape(n_out, -1)
-    out = np.empty((n_out, h * (w + 2 * p)), dtype=np.result_type(w4, x))
-    for a, b, cols in _column_bands(x, k):
-        np.matmul(w2, cols, out=out[:, a:b])
-    return out.reshape(n_out, h, w + 2 * p)[:, :, :w]
+    out = np.empty((n_out, *xp.shape[1:]), dtype=np.result_type(w4, xp))
+    rows = _rows(out, p)
+    for a, b, cols in _column_bands(xp, k):
+        np.matmul(w2, cols, out=rows[:, a:b])
+    return out
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray):
@@ -182,7 +214,27 @@ def conv_forward(layer: ConvLayer, x: np.ndarray):
         raise InvalidShapeError(
             f"input must be [{layer.n_in}, H, W], got {getattr(x, 'shape', None)}"
         )
-    return _correlate(layer.weights, x) + layer.bias[:, None, None], ConvCache(x=x)
+    p = (layer.kernel_size - 1) // 2
+    xp = pad_flat(x, p)
+    return interior(_correlate(layer.weights, xp), p) + layer.bias[:, None, None], ConvCache(xp=xp, p=p)
+
+
+def conv_forward_padded(layer: ConvLayer, xp: np.ndarray) -> np.ndarray:
+    """conv_forward from one padded-flat buffer to the next, with no cache.
+
+    The output's rows get the bias in place, and then its border, junk
+    columns included, is zeroed, because it is the next layer's padding.
+    """
+    p = (layer.kernel_size - 1) // 2
+    out = _correlate(layer.weights, xp)
+    rows = _rows(out, p)
+    rows += layer.bias[:, None]
+    h, w = out.shape[1] - 2 * p - 1, out.shape[2] - 2 * p
+    out[:, :p] = 0
+    out[:, p + h :] = 0
+    out[:, p : p + h, :p] = 0
+    out[:, p : p + h, p + w :] = 0
+    return out
 
 
 def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, need_grad_in: bool = True):
@@ -192,31 +244,35 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, n
     None; grad_w and grad_b are the same bits either way. A cascade's first
     layer uses this, because the starting image takes no gradient.
     """
+    n_out, k = layer.n_out, layer.kernel_size
+    p = (k - 1) // 2
     c, h, w = cache.x.shape
     if c != layer.n_in:
         raise InvalidShapeError(
             f"cache holds a {c}-channel input, layer takes {layer.n_in} channels"
         )
-    if grad_out.shape != (layer.n_out, h, w):
+    if cache.p != p:
+        raise InvalidShapeError(f"cache is padded by {cache.p}, a {k}x{k} kernel takes {p}")
+    if grad_out.shape != (n_out, h, w):
         raise InvalidShapeError(
-            f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
+            f"grad_out must be [{n_out}, {h}, {w}], got {grad_out.shape}"
         )
-    n_out, k = layer.n_out, layer.kernel_size
-    p = (k - 1) // 2
 
     grad_b = grad_out.sum(axis=(1, 2))
-    # the zero columns _widen appends meet the junk columns of the bands
+    gp = pad_flat(grad_out, p)
+    # the zero border in the rows of one operand meets the junk columns of the
+    # other's bands
     if c <= n_out:
-        grad_w = _dot_columns(_widen(grad_out, p), cache.x, k).reshape(layer.weights.shape)
+        grad_w = _dot_columns(_rows(gp, p), cache.xp, k).reshape(layer.weights.shape)
     else:
         # columns (o, di, dj) hold the weight gradient at kernel tap (k-1-di, k-1-dj)
-        flipped = _dot_columns(_widen(cache.x, p), grad_out, k).reshape(c, n_out, k, k)
+        flipped = _dot_columns(_rows(cache.xp, p), gp, k).reshape(c, n_out, k, k)
         grad_w = np.ascontiguousarray(flipped[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     if not need_grad_in:
         return None, grad_w, grad_b
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
     w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return _correlate(w_adj, grad_out), grad_w, grad_b
+    return interior(_correlate(w_adj, gp), p), grad_w, grad_b
 
 
 def relu_forward(x: np.ndarray):

@@ -11,6 +11,7 @@ comparisons across masks are fair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,13 @@ class SamplingMask:
     @property
     def line_count(self) -> int:
         return int(np.count_nonzero(self.phase_lines))
+
+    @cached_property
+    def dc_operators(self) -> dict:
+        """The data-consistency operator of this mask by dtype, filled in by
+        :mod:`dclayer` on first use. It lives and dies with the mask, so
+        images that share a mask share one build."""
+        return {}
 
     def to_tensor(self, dtype=np.float32) -> np.ndarray:
         """0/1 vector of length H, the serialized form of the mask."""

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mricascade.errors import CheckpointFormatError, InvalidParameterError, InvalidShapeError
 from mricascade.fourier import fft2_complex
-from mricascade.layers import ConvLayer, ReluCache, conv_backward, conv_forward, relu_backward
+from mricascade.layers import ConvCache, ConvLayer, ReluCache, conv_backward, conv_forward, relu_backward
 from mricascade.tensorcore import ComplexImage, read_tensor
 
 
@@ -176,7 +176,8 @@ def dct2_8x8_coefficients(image: np.ndarray) -> np.ndarray:
 # equivalence reference for mricascade.cascade.module_forward/module_backward.
 
 
-def interleaved_module_forward(module, x: np.ndarray):
+def interleaved_module_forward(module, x: np.ndarray, _keep_caches: bool = True):
+    # always keeps its caches, whatever _keep_caches asks
     h = x
     caches = []
     for layer in module.layers[:-1]:
@@ -203,6 +204,84 @@ def interleaved_module_backward(module, caches: list, grad: np.ndarray, need_gra
         ci -= 1
         param_grads[li] = (gw, gb)
     return grad, param_grads
+
+
+# The cascade block from before its activations stayed padded-flat from its
+# first layer to its last: every layer pads its input, correlates it one band
+# of columns at a time, trims the junk columns and adds the bias in a copy, and
+# the ReLU is np.maximum. The narrowing route multiplies a widened copy of the
+# input. Kept as the old-vs-new equivalence reference for
+# mricascade.cascade.module_forward. Its caches are the layer inputs padded by
+# np.pad into the layout mricascade.layers.ConvCache holds.
+
+
+def _unpadded_widen(x: np.ndarray, p: int) -> np.ndarray:
+    c, h, w = x.shape
+    xw = np.zeros((c, h, w + 2 * p), dtype=x.dtype)
+    xw[:, :, :w] = x
+    return xw.reshape(c, -1)
+
+
+def _unpadded_column_bands(x: np.ndarray, k: int):
+    c, h, w = x.shape
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    n = h * wp
+    xp = np.zeros((c, h + 2 * p + 1, wp), dtype=x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    xf = xp.reshape(c, -1)
+    rows = c * k * k
+    width = min(n, max(64, (1 << 20) // (rows * x.itemsize) // 64 * 64))
+    buf = np.empty(rows * width, dtype=x.dtype)
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        cols = buf[: rows * (b - a)].reshape(c, k * k, b - a)
+        for di in range(k):
+            for dj in range(k):
+                s = a + di * wp + dj
+                cols[:, di * k + dj] = xf[:, s : s + b - a]
+        yield a, b, cols.reshape(rows, b - a)
+
+
+def _unpadded_scatter(w4: np.ndarray, xw: np.ndarray, w: int) -> np.ndarray:
+    n_out, n_in, k, _ = w4.shape
+    p = (k - 1) // 2
+    wp = w + 2 * p
+    n = xw.shape[1]
+    wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
+    prods = (wrows @ xw).reshape(n_out, k * k, n)
+    out = np.zeros((n_out, n + (2 * p + 1) * wp), dtype=prods.dtype)
+    for di in range(k):
+        for dj in range(k):
+            s = di * wp + dj
+            out[:, s : s + n] += prods[:, di * k + dj]
+    return out[:, p * wp + p :][:, :n].reshape(n_out, -1, wp)[:, :, :w]
+
+
+def _unpadded_correlate(w4: np.ndarray, x: np.ndarray) -> np.ndarray:
+    n_out, n_in, k, _ = w4.shape
+    _, h, w = x.shape
+    p = (k - 1) // 2
+    if n_in > n_out:
+        return _unpadded_scatter(w4, _unpadded_widen(x, p), w)
+    w2 = w4.reshape(n_out, -1)
+    out = np.empty((n_out, h * (w + 2 * p)), dtype=np.result_type(w4, x))
+    for a, b, cols in _unpadded_column_bands(x, k):
+        np.matmul(w2, cols, out=out[:, a:b])
+    return out.reshape(n_out, h, w + 2 * p)[:, :, :w]
+
+
+def unpadded_module_forward(module, x: np.ndarray, _keep_caches: bool = True):
+    # always keeps its caches, whatever _keep_caches asks
+    h = x
+    caches = []
+    for i, layer in enumerate(module.layers):
+        p = (layer.kernel_size - 1) // 2
+        if i:
+            h = np.maximum(h, 0)
+        caches.append(ConvCache(xp=np.pad(h, ((0, 0), (p, p + 1), (p, p))), p=p))
+        h = _unpadded_correlate(layer.weights, h) + layer.bias[:, None, None]
+    return h, caches
 
 
 # The data-consistency layer from before it was written as its Jacobian plus

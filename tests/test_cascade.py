@@ -10,9 +10,11 @@ import pytest
 from mricascade import (
     CascadeModel,
     CheckpointFormatError,
+    CnnModule,
     ComplexImage,
     DcConfig,
     InvalidParameterError,
+    InvalidShapeError,
     InvalidStateError,
     Rng,
     apply_encoding,
@@ -22,6 +24,7 @@ from mricascade import (
     dc_forward,
     fft2,
     generate_mask,
+    he_init,
     load_checkpoint,
     mse_loss,
     reconstruct,
@@ -31,15 +34,17 @@ from mricascade import (
     zero_model,
 )
 from mricascade import cascade as cascade_mod
-from mricascade import dclayer
+from mricascade import cli, dclayer
 from mricascade.cascade import module_forward
 from mricascade.gradcheck import check_cascade
+from mricascade.layers import ReluCache
 from oracles import (
     interleaved_module_backward,
     interleaved_module_forward,
     line_replacement_dc_backward,
     line_replacement_dc_forward,
     name_keyed_load_checkpoint,
+    unpadded_module_forward,
 )
 
 
@@ -122,6 +127,21 @@ class TestOneZeroFill:
             assert np.max(np.abs(a - b)) <= tol * scale
 
 
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Mask heights of the DC operator builds: each build makes one DFT
+    through ``dclayer.fft2_complex``."""
+    heights = []
+    dft = dclayer.fft2_complex
+
+    def counted_dft(z, inverse=False):
+        heights.append(z.shape[1])
+        return dft(z, inverse)
+
+    monkeypatch.setattr(dclayer, "fft2_complex", counted_dft)
+    return heights
+
+
 class TestNoComplexRoundTripPerStage:
     def test_one_operator_build_and_one_zero_fill(self, monkeypatch):
         # measurements are encoded before counting starts
@@ -146,6 +166,39 @@ class TestNoComplexRoundTripPerStage:
         assert to_complex_calls == [(2, 16, 16)]
         assert out.dtype == np.float32
 
+    def test_measurements_sharing_a_mask_share_one_build(self, operator_builds):
+        # two slices of a volume: one mask, two measurements
+        truth, meas, _ = problem(15, dtype=np.float32)
+        other = apply_encoding(ComplexImage(truth.channels[:, ::-1].copy()), meas.mask)
+        model = build_model(Rng(16), n_c=3, n_d=3, n_f=4)
+        out, cache = cascade_forward(model, meas)
+        cascade_backward(model, cache, out)
+        reconstruct(model, other)
+        assert operator_builds == [16]
+        # a model of another precision casts a build of its own
+        reconstruct(build_model(Rng(16), n_c=1, n_d=2, n_f=4, dtype=np.float64), other)
+        assert operator_builds == [16, 16]
+
+    def test_fresh_masks_make_one_build_each(self, operator_builds, tmp_path, capsys):
+        from mricascade import TrainConfig, init_adam_state, train_epoch
+        from mricascade.phantom import PhantomSpec, make_dataset
+
+        model = build_model(Rng(17), n_c=2, n_d=2, n_f=4)
+        images = make_dataset(5, PhantomSpec(height=16, width=16), seed=18)
+        cfg = TrainConfig(batch_size=2, acceleration=3.0, n_low=4, augment=False, seed=0)
+        train_epoch(model, images, cfg, Rng(19), init_adam_state(model.parameters()))
+        assert operator_builds == [16] * 5
+
+        operator_builds.clear()
+        data, ckpt = tmp_path / "data", tmp_path / "m.csc1"
+        assert cli.main(["generate", "--n", "4", "--size", "16", "--seed", "20", "--out", str(data)]) == 0
+        save_checkpoint(model, ckpt)
+        assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data), "--split", "train",
+                         "--acceleration", "3", "--n-low", "4"]) == 0
+        capsys.readouterr()
+        n_train = sum(s == "train" for _, s in cli.read_manifest(data))
+        assert n_train >= 2 and operator_builds == [16] * n_train
+
 
 class TestInferenceMemory:
     def test_conv_caches_hold_only_the_layer_input(self):
@@ -153,19 +206,104 @@ class TestInferenceMemory:
         model = build_model(Rng(0), n_c=2, n_d=5, n_f=64)
         _, meas, x_u = problem(3)
         _, cache = cascade_forward(model, meas)
+        p = 1
         for stage, caches in zip(model.stages, cache.stage_caches):
             assert len(caches) == len(stage.layers) == model.n_d
             for i, (layer, c) in enumerate(zip(stage.layers, caches)):
-                assert [f.name for f in fields(c)] == ["x"]
-                assert c.x.shape == (layer.n_in, 16, 16)
+                assert [f.name for f in fields(c)] == ["xp", "p"]
+                assert c.p == p and c.x.shape == (layer.n_in, 16, 16)
                 if i:
                     # a ReLU output, not a pre-activation kept beside it
                     assert c.x.min() >= 0
-                # no larger buffer (such as the [n_in*k*k, H*W] columns) is kept alive behind it
+                # the border is zero: it is the layer's padding
+                assert np.count_nonzero(c.xp) == np.count_nonzero(c.x)
+                # the padded-flat input and no larger buffer (such as the
+                # [n_in*k*k, H*W] columns) is kept alive behind it
                 root = c.x
                 while root.base is not None:
                     root = root.base
-                assert root.nbytes == c.x.nbytes
+                assert root.nbytes == layer.n_in * (16 + 2 * p + 1) * (16 + 2 * p) * c.x.itemsize
+
+    def test_reconstruct_keeps_no_caches(self):
+        model = build_model(Rng(0), n_c=2, n_d=5, n_f=64)
+        _, meas, _ = problem(3, h=32, w=32, dtype=np.float32)
+        _, cache = cascade_forward(model, meas)
+        held = [c.xp.nbytes for caches in cache.stage_caches for c in caches]
+        del cache
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_caches = peak(lambda: cascade_forward(model, meas))
+        without = peak(lambda: reconstruct(model, meas))
+        # at its peak reconstruct holds one layer's input and output, as
+        # cascade_forward does; every other cached byte must be gone
+        assert with_caches - without >= sum(held) - 2 * max(held)
+        assert cascade_forward(model, meas, _keep_caches=False)[1].stage_caches == []
+
+
+class TestPaddedFlatBlock:
+    """A block whose activations stay padded-flat gives the bits of the chain
+    it replaced: per layer pad, conv, trim plus bias, np.maximum."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n_c, n_d, n_f, k, size",
+        [(3, 3, 16, 3, 64), (2, 5, 64, 3, 80), (2, 3, 1, 3, 64), (2, 3, 2, 3, 64), (2, 3, 16, 1, 64), (2, 3, 16, 5, 64)],
+        ids=["desk64", "full80", "n_f1", "n_f2", "k1", "k5"],
+    )
+    def test_matches_the_unpadded_chain_bit_for_bit(self, monkeypatch, n_c, n_d, n_f, k, size, dtype):
+        truth, meas, _ = problem(20 + k, h=size, w=size, dtype=dtype)
+        model = build_model(Rng(n_f), n_c=n_c, n_d=n_d, n_f=n_f, k=k, dtype=dtype)
+        # nonzero biases: the bias lands in the junk columns before they are re-zeroed
+        for stage in model.stages:
+            for layer in stage.layers:
+                layer.bias[:] = Rng(layer.n_out).gen.standard_normal(layer.n_out) * 0.1
+
+        def run():
+            out, cache = cascade_forward(model, meas)
+            _, grad = mse_loss(out, truth)
+            return [out.channels, reconstruct(model, meas).channels, *cascade_backward(model, cache, grad)]
+
+        got = run()
+        monkeypatch.setattr(cascade_mod, "module_forward", unpadded_module_forward)
+        expect = run()
+        assert len(got) == len(expect) == 2 + 2 * n_c * n_d
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+class TestReluStaysReachable:
+    """The block calls the ReLU through the cascade module's name, so a
+    network with the ReLU swapped out is a different network."""
+
+    def test_block_calls_relu_on_each_hidden_layer(self, monkeypatch):
+        _, meas, x_u = problem(30)
+        model = build_model(Rng(31), n_c=2, n_d=4, n_f=6, dtype=np.float64)
+        calls = []
+        relu = cascade_mod.relu_forward
+
+        def spy(x):
+            calls.append(x.shape)
+            return relu(x)
+
+        monkeypatch.setattr(cascade_mod, "relu_forward", spy)
+        module_forward(model.stages[0], x_u.channels)
+        assert len(calls) == model.n_d - 1
+        reconstruct(model, meas)
+        assert len(calls) == (1 + model.n_c) * (model.n_d - 1)
+
+    def test_identity_relu_changes_the_output(self, monkeypatch):
+        _, meas, _ = problem(32)
+        model = build_model(Rng(33), n_c=2, n_d=3, n_f=6, dtype=np.float64)
+        expect = reconstruct(model, meas).channels
+        monkeypatch.setattr(cascade_mod, "relu_forward", lambda x: (x.copy(), ReluCache(x=np.ones_like(x))))
+        assert not np.array_equal(reconstruct(model, meas).channels, expect)
 
 
 class TestOneCachePerLayer:
@@ -245,6 +383,11 @@ class TestModelBuilders:
         make = {"build_model": lambda **kw: build_model(Rng(0), **kw), "zero_model": zero_model}[builder]
         with pytest.raises(InvalidParameterError):
             make(**{"n_c": 1, "n_d": 3, "n_f": 4, **bad})
+
+    def test_block_of_mixed_kernel_sizes_rejected(self):
+        # one padding serves every layer of a block
+        with pytest.raises(InvalidShapeError, match="one kernel size"):
+            CnnModule([he_init(Rng(0), 4, 2, 3), he_init(Rng(1), 2, 4, 5)])
 
     def test_zero_model_has_build_model_layout(self):
         zero, built = zero_model(2, 3, 5), build_model(Rng(0), 2, 3, 5)

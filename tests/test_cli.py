@@ -350,9 +350,9 @@ class TestEvaluateParallel:
         threads = []
         forward = cli.cascade_mod.cascade_forward
 
-        def spy(model, meas):
+        def spy(model, meas, **kwargs):
             threads.append(threading.current_thread())
-            return forward(model, meas)
+            return forward(model, meas, **kwargs)
 
         monkeypatch.setattr(cli.cascade_mod, "cascade_forward", spy)
         monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
@@ -376,6 +376,24 @@ class TestEvaluateParallel:
         capsys.readouterr()
         n_train = sum(s == "train" for _, s in read_manifest(dataset))
         assert len(zero_filled_calls) == n_train == 5
+
+    def test_keeps_no_caches(self, dataset, tmp_path, capsys, monkeypatch):
+        caches = []
+        forward = cli.cascade_mod.cascade_forward
+
+        def spy(model, meas, **kwargs):
+            out, cache = forward(model, meas, **kwargs)
+            caches.append(cache)
+            return out, cache
+
+        monkeypatch.setattr(cli.cascade_mod, "cascade_forward", spy)
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(3), 2, 3, 4), ckpt)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", "train",
+                     "--acceleration", "3", "--n-low", "4"])
+        assert code == 0
+        capsys.readouterr()
+        assert len(caches) == 5 and all(c.stage_caches == [] for c in caches)
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_worker_count_is_input_error(self, dataset, tmp_path, capsys, monkeypatch, workers):

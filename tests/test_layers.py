@@ -123,6 +123,28 @@ class TestConvForward:
         assert np.max(np.abs(got - expect)) < 1e-10 * scale
 
 
+class TestPaddedFlatLayer:
+    """conv_forward_padded is conv_forward from one padded-flat buffer to the next."""
+
+    # (3, 2) and (2, 1) run the scatter route, the others the gather route
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("h, w", [(5, 7), (16, 20)])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 3), (3, 2), (2, 1)])
+    def test_interior_is_conv_forward_and_border_is_zero(self, n_in, n_out, h, w, k, dtype):
+        rng = Rng(10 * n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=dtype)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, h, w)).astype(dtype)
+        p = (k - 1) // 2
+        out = layers.conv_forward_padded(layer, layers.pad_flat(x, p))
+        assert out.shape == (n_out, h + 2 * p + 1, w + 2 * p) and out.dtype == dtype
+        inner = layers.interior(out, p)
+        assert np.array_equal(inner, conv_forward(layer, x)[0])
+        # the bias lands everywhere, so only the re-zeroing leaves the border zero
+        assert np.count_nonzero(out) == np.count_nonzero(inner)
+
+
 class TestConvBackward:
     def test_finite_difference_agreement(self):
         # random 1 -> 2 channel layer on a 6x6 input, all three gradients
@@ -167,6 +189,12 @@ class TestConvBackward:
         _, cache3 = conv_forward(he_init(Rng(1), 2, 3, 3), np.zeros((3, 4, 4), dtype=np.float32))
         with pytest.raises(InvalidShapeError, match="3-channel.*4 channels"):
             conv_backward(he_init(Rng(2), 2, 4, 3), cache3, np.zeros((2, 4, 4), dtype=np.float32))
+
+    def test_cache_of_another_kernel_size_rejected(self):
+        # the cache is padded for its own layer's kernel
+        _, cache = conv_forward(he_init(Rng(0), 2, 2, 3), np.zeros((2, 6, 6), dtype=np.float32))
+        with pytest.raises(InvalidShapeError, match="padded by 1"):
+            conv_backward(he_init(Rng(1), 2, 2, 5), cache, np.zeros((2, 6, 6), dtype=np.float32))
 
     @pytest.mark.parametrize("n_in, n_out", [(2, 64), (64, 2), (16, 16)])
     def test_im2col_copies_only_the_thinner_side(self, monkeypatch, n_in, n_out):
