@@ -14,13 +14,17 @@ the bias added and the border re-zeroed in place, and the ReLU runs over the
 whole buffer. Only the block output is trimmed.
 
 For the backward pass a block keeps one array per conv layer, that layer's
-padded-flat input, which conv_backward reads without padding it again. Past
-the first layer the input is a ReLU output, which is all the ReLU's backward
-needs, so no pre-activation is kept. Inference (:func:`reconstruct` and the
-command line) keeps no caches: each layer input is freed once the next layer
-has been computed. The backward pass stops at stage 0's first layer: the
-zero-filled starting image takes no gradient, so that layer's input gradient
-is never computed.
+padded-flat input, which conv_backward_padded reads without padding it again.
+Past the first layer the input is a ReLU output, which is all the ReLU's
+backward needs, so no pre-activation is kept. The backward mirrors the
+forward: the block pads its output gradient once, each conv_backward_padded
+returns the next padded-flat gradient, and the ReLU's backward masks it in
+place by where the cached ReLU output is positive, which re-zeroes its border
+too. Only the block's input gradient is trimmed. The backward pass stops at
+stage 0's first layer: the zero-filled starting image takes no gradient, so
+that layer's input gradient is never computed. Inference (:func:`reconstruct`
+and the command line) keeps no caches: each layer input is freed once the
+next layer has been computed.
 """
 
 from __future__ import annotations
@@ -43,13 +47,11 @@ from .errors import (
 from .layers import (
     ConvCache,
     ConvLayer,
-    ReluCache,
-    conv_backward,
+    conv_backward_padded,
     conv_forward_padded,
     he_init,
     interior,
     pad_flat,
-    relu_backward,
     relu_forward,
     residual_add,
 )
@@ -176,15 +178,22 @@ def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_g
 
     With ``need_grad_in=False`` the first layer skips its input gradient and
     the first element is None.
+
+    The output gradient is padded once. From there every gradient is a
+    padded-flat buffer: conv_backward_padded returns its input gradient in the
+    layout of the layer's cache, and the ReLU's backward masks it in place.
     """
+    p = (module.layers[0].kernel_size - 1) // 2
+    g = pad_flat(grad, p)
     param_grads = [None] * len(module.layers)
     for i in range(len(module.layers) - 1, -1, -1):
-        grad, gw, gb = conv_backward(module.layers[i], caches[i], grad, need_grad_in=need_grad_in or i > 0)
+        g, gw, gb = conv_backward_padded(module.layers[i], caches[i], g, need_grad_in=need_grad_in or i > 0)
         param_grads[i] = (gw, gb)
         if i:
-            # layer i's input is the ReLU output, the cache relu_forward returned
-            grad = relu_backward(ReluCache(x=caches[i].x), grad)
-    return grad, param_grads
+            # layer i's input is the ReLU output, positive exactly where the
+            # ReLU input is; its zero border zeroes the gradient's border
+            g *= caches[i].xp > 0
+    return None if g is None else interior(g, p), param_grads
 
 
 @dataclass(eq=False)

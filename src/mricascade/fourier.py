@@ -43,7 +43,8 @@ def fft2_complex(z: np.ndarray, inverse: bool = False) -> np.ndarray:
 
     Its callers are the encoding (:func:`fft2`), the zero-fill
     (:func:`ifft2`) and the build of the data-consistency operator, once per
-    ``dclayer.DcConfig``; the cascade loop itself makes no DFT call.
+    ``SamplingMask`` and dtype (``dclayer._operator``, kept in
+    ``SamplingMask.dc_operators``); the cascade loop itself makes no DFT call.
     """
     h, w = z.shape[-2], z.shape[-1]
     sign = 1 if inverse else -1

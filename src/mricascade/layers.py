@@ -9,8 +9,9 @@ no more channels than the output, and otherwise multiplies first and scatters
 the k*k shifted products back through col2im. The conv cache keeps only the
 layer input, in the padded-flat layout below, and the ReLU cache only the ReLU
 output, which is positive exactly where the input is; inside a cascade block
-the two are the same array. conv_backward can skip the input gradient, which a
-cascade's very first layer never needs.
+the two are the same array, and the backward never writes into it.
+conv_backward can skip the input gradient, which a cascade's very first layer
+never needs.
 
 Every correlation reads a padded-flat layout. An input [C, H, W] is held
 zero-padded by p = (k-1)/2 on every side, plus one more zero row, as a
@@ -35,11 +36,24 @@ re-zeroes the border, junk columns included, because it is the next layer's
 padding. The ReLU then runs over the whole buffer, since max(0, 0) keeps the
 border zero, and the block pads only its input.
 
+The backward mirrors this. conv_backward keeps the [n_out, H, W] gradient
+contract: it pads grad_out, calls conv_backward_padded, and trims grad_in.
+Inside a cascade block, gradients stay padded-flat through
+conv_backward_padded, which reads the output gradient in its cache's layout
+and returns the input gradient in that layout. Its junk columns hold finite
+values, and the values before its first row and after its last, which the
+gathering route leaves unwritten, are zeroed. The block's ReLU backward then
+masks the gradient in place by where the cached ReLU output is positive, and
+that output's zero border zeroes the gradient's border, the next layer's
+padding.
+
 The columns are never built whole. They are built one band of consecutive flat
 output columns at a time, into one buffer of at most _BAND_BYTES that each band
 refills. A gathering correlation writes each band's GEMM straight into its slice
 of the output, and a weight gradient sums the products of its bands. Bands need
-not end at a row boundary.
+not end at a row boundary. A weight gradient's GEMM puts whichever operand has
+more rows on the left, the columns or the rows they meet, because BLAS runs it
+faster that way, and transposes its sum once at the end.
 """
 
 from __future__ import annotations
@@ -143,9 +157,11 @@ def _column_bands(xp: np.ndarray, k: int):
     n = (hp - 2 * p - 1) * wp
     xf = xp.reshape(c, -1)
     rows = c * k * k
-    # at least 64 and a multiple of 64 columns: BLAS then sums every output column
-    # in the order one GEMM over all columns would (bands of 16 or 164 columns
-    # change the last bits of the output)
+    # at least 64 and a multiple of 64 columns: a forward GEMM, whose bands split
+    # the output columns, then sums every output column in the order one GEMM
+    # over all columns would (bands of 16 or 164 columns change the last bits of
+    # the output). _dot_columns's bands split the summed axis instead, so there
+    # the band width does change the last bits.
     width = min(n, max(64, _BAND_BYTES // (rows * xp.itemsize) // 64 * 64))
     buf = np.empty(rows * width, dtype=xp.dtype)
     for a in range(0, n, width):
@@ -159,11 +175,16 @@ def _column_bands(xp: np.ndarray, k: int):
 
 
 def _dot_columns(lhs: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
-    # lhs [R, H*Wp] times the transposed columns of xp: [R, C*k*k], summed band by band
-    acc = np.zeros((lhs.shape[0], xp.shape[0] * k * k), dtype=np.result_type(lhs, xp))
+    # lhs [R, H*Wp] times the transposed columns of xp: [R, C*k*k], summed band
+    # by band. BLAS runs this GEMM faster with the operand of more rows on the
+    # left, so columns of at least R rows go first and the sum is transposed
+    # once at the end; each entry sums the same products in the same order.
+    r, n_rows = lhs.shape[0], xp.shape[0] * k * k
+    cols_left = n_rows >= r
+    acc = np.zeros((n_rows, r) if cols_left else (r, n_rows), dtype=np.result_type(lhs, xp))
     for a, b, cols in _column_bands(xp, k):
-        acc += lhs[:, a:b] @ cols.T
-    return acc
+        acc += cols @ lhs[:, a:b].T if cols_left else lhs[:, a:b] @ cols.T
+    return acc.T if cols_left else acc
 
 
 def _scatter(w4: np.ndarray, xw: np.ndarray, wp: int) -> np.ndarray:
@@ -237,6 +258,19 @@ def conv_forward_padded(layer: ConvLayer, xp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_cache(layer: ConvLayer, cache: ConvCache) -> int:
+    """The layer's padding, once the cache is checked to be this layer's input."""
+    k = layer.kernel_size
+    p = (k - 1) // 2
+    if cache.xp.shape[0] != layer.n_in:
+        raise InvalidShapeError(
+            f"cache holds a {cache.xp.shape[0]}-channel input, layer takes {layer.n_in} channels"
+        )
+    if cache.p != p:
+        raise InvalidShapeError(f"cache is padded by {cache.p}, a {k}x{k} kernel takes {p}")
+    return p
+
+
 def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, need_grad_in: bool = True):
     """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b).
 
@@ -244,22 +278,33 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, n
     None; grad_w and grad_b are the same bits either way. A cascade's first
     layer uses this, because the starting image takes no gradient.
     """
-    n_out, k = layer.n_out, layer.kernel_size
-    p = (k - 1) // 2
-    c, h, w = cache.x.shape
-    if c != layer.n_in:
+    p = _check_cache(layer, cache)
+    _, h, w = cache.x.shape
+    if grad_out.shape != (layer.n_out, h, w):
         raise InvalidShapeError(
-            f"cache holds a {c}-channel input, layer takes {layer.n_in} channels"
+            f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
         )
-    if cache.p != p:
-        raise InvalidShapeError(f"cache is padded by {cache.p}, a {k}x{k} kernel takes {p}")
-    if grad_out.shape != (n_out, h, w):
+    grad_in, grad_w, grad_b = conv_backward_padded(layer, cache, pad_flat(grad_out, p), need_grad_in=need_grad_in)
+    return None if grad_in is None else interior(grad_in, p), grad_w, grad_b
+
+
+def conv_backward_padded(layer: ConvLayer, cache: ConvCache, gp: np.ndarray, *, need_grad_in: bool = True):
+    """conv_backward from one padded-flat gradient to the next.
+
+    ``gp`` is the output gradient in the layout of ``cache.xp``, zero outside
+    the image. The returned grad_in is in that layout too: its interior is the
+    input gradient, its junk columns hold values that the caller must zero
+    before the buffer is read as padding, and its other border values are zero.
+    """
+    p = _check_cache(layer, cache)
+    n_out, k = layer.n_out, layer.kernel_size
+    c, hp, wp = cache.xp.shape
+    if gp.shape != (n_out, hp, wp):
         raise InvalidShapeError(
-            f"grad_out must be [{n_out}, {h}, {w}], got {grad_out.shape}"
+            f"padded grad_out must be [{n_out}, {hp}, {wp}], got {gp.shape}"
         )
 
-    grad_b = grad_out.sum(axis=(1, 2))
-    gp = pad_flat(grad_out, p)
+    grad_b = interior(gp, p).sum(axis=(1, 2))
     # the zero border in the rows of one operand meets the junk columns of the
     # other's bands
     if c <= n_out:
@@ -272,7 +317,13 @@ def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, n
         return None, grad_w, grad_b
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
     w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return interior(_correlate(w_adj, gp), p), grad_w, grad_b
+    grad_in = _correlate(w_adj, gp)
+    # the gathering route leaves the values before and after its rows unwritten
+    # (np.empty); a mask multiplying them by 0 would keep any NaN among them
+    flat = grad_in.reshape(c, -1)
+    flat[:, : p * wp + p] = 0
+    flat[:, p * wp + p + (hp - 2 * p - 1) * wp :] = 0
+    return grad_in, grad_w, grad_b
 
 
 def relu_forward(x: np.ndarray):

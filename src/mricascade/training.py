@@ -155,12 +155,18 @@ def augment(rng: Rng, img: ComplexImage) -> ComplexImage:
 
 def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
     """One sample's forward and backward pass: ``(loss, parameter gradients)``,
-    with no gradients when the loss is not finite."""
-    x_cnn, cache = cascade_forward(model, apply_encoding(x_t, mask))
-    loss, grad = mse_loss(x_cnn, x_t)
-    if not np.isfinite(loss):
-        return loss, None
-    return loss, cascade_backward(model, cache, grad)
+    with no gradients when the loss is not finite.
+
+    Overflow is reported once, as :class:`TrainingDivergedError`, so numpy's
+    overflow and invalid-value warnings are silenced here. numpy's error state
+    is local to a thread, so it is set inside the task each worker runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_cnn, cache = cascade_forward(model, apply_encoding(x_t, mask))
+        loss, grad = mse_loss(x_cnn, x_t)
+        if not np.isfinite(loss):
+            return loss, None
+        return loss, cascade_backward(model, cache, grad)
 
 
 def train_epoch(

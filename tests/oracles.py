@@ -16,7 +16,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mricascade.errors import CheckpointFormatError, InvalidParameterError, InvalidShapeError
 from mricascade.fourier import fft2_complex
-from mricascade.layers import ConvCache, ConvLayer, ReluCache, conv_backward, conv_forward, relu_backward
+from mricascade.layers import (
+    ConvCache,
+    ConvLayer,
+    ReluCache,
+    _column_bands,
+    _correlate,
+    _rows,
+    conv_backward,
+    conv_forward,
+    interior,
+    pad_flat,
+    relu_backward,
+)
 from mricascade.tensorcore import ComplexImage, read_tensor
 
 
@@ -282,6 +294,48 @@ def unpadded_module_forward(module, x: np.ndarray, _keep_caches: bool = True):
         caches.append(ConvCache(xp=np.pad(h, ((0, 0), (p, p + 1), (p, p))), p=p))
         h = _unpadded_correlate(layer.weights, h) + layer.bias[:, None, None]
     return h, caches
+
+
+# The backward pass of a cascade block from before its gradients stayed
+# padded-flat: every layer pads its output gradient, sums its weight gradient
+# band by band as lhs @ cols.T with the gradient's rows always on the left,
+# and trims its input gradient, and the ReLU backward multiplies that trimmed
+# gradient by where the cached ReLU output, a view, is positive. Kept as the
+# old-vs-new equivalence reference for mricascade.cascade.module_backward.
+
+
+def _lhs_dot_columns(lhs: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
+    acc = np.zeros((lhs.shape[0], xp.shape[0] * k * k), dtype=np.result_type(lhs, xp))
+    for a, b, cols in _column_bands(xp, k):
+        acc += lhs[:, a:b] @ cols.T
+    return acc
+
+
+def trimmed_conv_backward(layer, cache: ConvCache, grad_out: np.ndarray, need_grad_in: bool = True):
+    n_out, k = layer.n_out, layer.kernel_size
+    p = (k - 1) // 2
+    c = cache.xp.shape[0]
+    grad_b = grad_out.sum(axis=(1, 2))
+    gp = pad_flat(grad_out, p)
+    if c <= n_out:
+        grad_w = _lhs_dot_columns(_rows(gp, p), cache.xp, k).reshape(layer.weights.shape)
+    else:
+        flipped = _lhs_dot_columns(_rows(cache.xp, p), gp, k).reshape(c, n_out, k, k)
+        grad_w = np.ascontiguousarray(flipped[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    if not need_grad_in:
+        return None, grad_w, grad_b
+    w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return interior(_correlate(w_adj, gp), p), grad_w, grad_b
+
+
+def trimmed_module_backward(module, caches: list, grad: np.ndarray, need_grad_in: bool = True):
+    param_grads = [None] * len(module.layers)
+    for i in range(len(module.layers) - 1, -1, -1):
+        grad, gw, gb = trimmed_conv_backward(module.layers[i], caches[i], grad, need_grad_in or i > 0)
+        param_grads[i] = (gw, gb)
+        if i:
+            grad = relu_backward(ReluCache(x=caches[i].x), grad)
+    return grad, param_grads
 
 
 # The data-consistency layer from before it was written as its Jacobian plus

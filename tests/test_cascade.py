@@ -44,6 +44,7 @@ from oracles import (
     line_replacement_dc_backward,
     line_replacement_dc_forward,
     name_keyed_load_checkpoint,
+    trimmed_module_backward,
     unpadded_module_forward,
 )
 
@@ -276,6 +277,68 @@ class TestPaddedFlatBlock:
         assert len(got) == len(expect) == 2 + 2 * n_c * n_d
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+class TestPaddedFlatBackward:
+    """A block whose gradients stay padded-flat, with each weight gradient's
+    GEMM in BLAS's faster orientation, gives the bits of the chain it replaced:
+    per layer pad, banded lhs @ cols.T, trim, and relu_backward on a view."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n_c, n_d, n_f, k, size",
+        [(3, 3, 16, 3, 64), (2, 5, 64, 3, 80), (2, 3, 1, 3, 64), (2, 3, 2, 3, 64), (2, 3, 16, 1, 64), (2, 3, 16, 5, 64)],
+        ids=["desk64", "full80", "n_f1", "n_f2", "k1", "k5"],
+    )
+    def test_matches_the_trimmed_chain_bit_for_bit(self, monkeypatch, n_c, n_d, n_f, k, size, dtype):
+        truth, meas, _ = problem(40 + k, h=size, w=size, dtype=dtype)
+        model = build_model(Rng(n_f + 1), n_c=n_c, n_d=n_d, n_f=n_f, k=k, dtype=dtype)
+        for stage in model.stages:
+            for layer in stage.layers:
+                layer.bias[:] = Rng(layer.n_out + 1).gen.standard_normal(layer.n_out) * 0.1
+        out, cache = cascade_forward(model, meas)
+        _, grad = mse_loss(out, truth)
+        g_block = Rng(size).gen.standard_normal((2, size, size)).astype(dtype)
+
+        def run():
+            block_grad_in, _ = cascade_mod.module_backward(model.stages[0], cache.stage_caches[0], g_block)
+            return [block_grad_in, *cascade_backward(model, cache, grad)]
+
+        got = run()
+        monkeypatch.setattr(cascade_mod, "module_backward", trimmed_module_backward)
+        expect = run()
+        assert len(got) == len(expect) == 1 + 2 * n_c * n_d
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape and np.array_equal(a, b)
+
+    def test_unwritten_buffer_values_never_reach_a_gradient(self, monkeypatch):
+        # the gathering correlation allocates grad_in with np.empty and leaves
+        # the values before and after its rows unwritten; the ReLU mask
+        # multiplies them by 0, which would keep a NaN
+        truth, meas, _ = problem(52, h=32, w=32)
+        model = build_model(Rng(53), n_c=2, n_d=4, n_f=8, dtype=np.float64)
+        out, cache = cascade_forward(model, meas)
+        _, grad = mse_loss(out, truth)
+        expect = cascade_backward(model, cache, grad)
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype=dtype))
+        got = cascade_backward(model, cache, grad)
+        monkeypatch.setattr(np, "empty", empty)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect, strict=True))
+
+    def test_backward_leaves_the_caches_as_they_were(self):
+        # the ReLU's backward masks the gradient in place; it must never write
+        # into the ReLU output it reads the mask from
+        truth, meas, _ = problem(50, h=32, w=32)
+        model = build_model(Rng(51), n_c=2, n_d=4, n_f=8, dtype=np.float64)
+        out, cache = cascade_forward(model, meas)
+        _, grad = mse_loss(out, truth)
+        before = [c.xp.tobytes() for caches in cache.stage_caches for c in caches]
+        first = cascade_backward(model, cache, grad)
+        second = cascade_backward(model, cache, grad)
+        after = [c.xp.tobytes() for caches in cache.stage_caches for c in caches]
+        assert len(before) == model.n_c * model.n_d and after == before
+        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
 
 class TestReluStaysReachable:

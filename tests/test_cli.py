@@ -182,7 +182,9 @@ class TestTrain:
              "--epochs", "1", "--seed", "0", "--out", str(tmp_path / "d.csc1")]
         )
         assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        # one line: no numpy overflow warning scrolls by before it
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestReconstruct:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,23 @@ class TestConvBackward:
         _, cache = conv_forward(he_init(Rng(0), 2, 2, 3), np.zeros((2, 6, 6), dtype=np.float32))
         with pytest.raises(InvalidShapeError, match="padded by 1"):
             conv_backward(he_init(Rng(1), 2, 2, 5), cache, np.zeros((2, 6, 6), dtype=np.float32))
+
+    def test_padded_gradient_of_another_shape_rejected(self):
+        layer = he_init(Rng(0), 2, 3, 3)
+        _, cache = conv_forward(layer, np.zeros((3, 4, 4), dtype=np.float32))
+        # an unpadded gradient, and a padded one without the extra zero row
+        for shape in [(2, 4, 4), (2, 6, 6)]:
+            with pytest.raises(InvalidShapeError, match=re.escape(f"[2, 7, 6], got {shape}")):
+                layers.conv_backward_padded(layer, cache, np.zeros(shape, dtype=np.float32))
+
+    def test_padded_backward_rejects_a_cache_of_another_layer(self):
+        gp = np.zeros((2, 9, 8), dtype=np.float32)
+        _, cache3 = conv_forward(he_init(Rng(1), 2, 3, 3), np.zeros((3, 6, 6), dtype=np.float32))
+        with pytest.raises(InvalidShapeError, match="3-channel.*4 channels"):
+            layers.conv_backward_padded(he_init(Rng(2), 2, 4, 3), cache3, gp)
+        _, cache = conv_forward(he_init(Rng(3), 2, 2, 3), np.zeros((2, 6, 6), dtype=np.float32))
+        with pytest.raises(InvalidShapeError, match="padded by 1"):
+            layers.conv_backward_padded(he_init(Rng(4), 2, 2, 5), cache, gp)
 
     @pytest.mark.parametrize("n_in, n_out", [(2, 64), (64, 2), (16, 16)])
     def test_im2col_copies_only_the_thinner_side(self, monkeypatch, n_in, n_out):
