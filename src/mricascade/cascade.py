@@ -9,18 +9,19 @@ is the identity on consistent inputs, which is asserted by the tests.
 
 A block pads its input once into the padded-flat layout of
 :mod:`mricascade.layers`, and its activations stay in that layout from its
-first layer to its last: each conv writes the next layer's padded input, with
-the bias added and the border re-zeroed in place, and the ReLU runs over the
-whole buffer. Only the block output is trimmed.
+first layer to its last. Every padded-flat buffer a layer function returns is
+zero outside its image, so each conv's output is the next layer's padded
+input as it stands, and the ReLU runs over the whole buffer. Only the block
+output is trimmed.
 
 For the backward pass a block keeps one array per conv layer, that layer's
 padded-flat input, which conv_backward_padded reads without padding it again.
 Past the first layer the input is a ReLU output, which is all the ReLU's
 backward needs, so no pre-activation is kept. The backward mirrors the
 forward: the block pads its output gradient once, each conv_backward_padded
-returns the next padded-flat gradient, and the ReLU's backward masks it in
-place by where the cached ReLU output is positive, which re-zeroes its border
-too. Only the block's input gradient is trimmed. The backward pass stops at
+returns the next padded-flat gradient, zero outside its image, and
+relu_backward masks it by where the cached ReLU output is positive. Only the
+block's input gradient is trimmed. The backward pass stops at
 stage 0's first layer: the zero-filled starting image takes no gradient, so
 that layer's input gradient is never computed. Inference (:func:`reconstruct`
 and the command line) keeps no caches: each layer input is freed once the
@@ -47,11 +48,13 @@ from .errors import (
 from .layers import (
     ConvCache,
     ConvLayer,
+    ReluCache,
     conv_backward_padded,
     conv_forward_padded,
     he_init,
     interior,
     pad_flat,
+    relu_backward,
     relu_forward,
     residual_add,
 )
@@ -67,13 +70,17 @@ class CnnModule:
     """One de-aliasing block: (n_d - 1) conv+ReLU layers, then a conv that
     projects back to two channels with no nonlinearity (its output must span
     negative real/imaginary values). Every layer has the same kernel size,
-    so one padding serves the whole block."""
+    so one padding serves the whole block, and takes the channels the layer
+    before it gives."""
 
     layers: list
 
     def __post_init__(self):
         if len({layer.kernel_size for layer in self.layers}) > 1:
             raise InvalidShapeError("the layers of a block must share one kernel size")
+        for i, (a, b) in enumerate(zip(self.layers, self.layers[1:])):
+            if a.n_out != b.n_in:
+                raise InvalidShapeError(f"layer {i} gives {a.n_out} channels, layer {i + 1} takes {b.n_in}")
 
 
 @dataclass(eq=False)
@@ -127,9 +134,13 @@ def _assemble(n_c: int, n_d: int, n_f: int, k: int, lam: float, make_layer) -> C
     if k % 2 == 0:
         raise InvalidParameterError(f"k must be odd, got {k}")
     check_lam(lam)
-    plan = [(2, n_f)] + [(n_f, n_f)] * (n_d - 2) + [(n_f, 2)]
-    stages = [CnnModule([make_layer(n_in, n_out) for n_in, n_out in plan]) for _ in range(n_c)]
+    stages = [CnnModule([make_layer(n_in, n_out) for n_in, n_out in _channel_plan(n_d, n_f)]) for _ in range(n_c)]
     return CascadeModel(stages, lam)
+
+
+def _channel_plan(n_d: int, n_f: int) -> list:
+    """(n_in, n_out) of each layer of a block."""
+    return [(2, n_f)] + [(n_f, n_f)] * (n_d - 2) + [(n_f, 2)]
 
 
 def build_model(
@@ -158,8 +169,8 @@ def module_forward(module: CnnModule, x: np.ndarray, *, _keep_caches: bool = Tru
     no caches with ``_keep_caches=False``.
 
     The input is padded once. From there every activation is a padded-flat
-    buffer whose border each conv zeroes, so the ReLU runs on the whole
-    buffer (max(0, 0) keeps the border zero) and the next conv reads it as is.
+    buffer, zero outside its image, which the ReLU and the next conv read
+    whole.
     """
     p = (module.layers[0].kernel_size - 1) // 2
     h = pad_flat(x, p)
@@ -180,8 +191,8 @@ def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_g
     the first element is None.
 
     The output gradient is padded once. From there every gradient is a
-    padded-flat buffer: conv_backward_padded returns its input gradient in the
-    layout of the layer's cache, and the ReLU's backward masks it in place.
+    padded-flat buffer, zero outside its image, which the ReLU's backward and
+    the next conv_backward_padded read whole.
     """
     p = (module.layers[0].kernel_size - 1) // 2
     g = pad_flat(grad, p)
@@ -190,9 +201,8 @@ def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_g
         g, gw, gb = conv_backward_padded(module.layers[i], caches[i], g, need_grad_in=need_grad_in or i > 0)
         param_grads[i] = (gw, gb)
         if i:
-            # layer i's input is the ReLU output, positive exactly where the
-            # ReLU input is; its zero border zeroes the gradient's border
-            g *= caches[i].xp > 0
+            # layer i's input is the ReLU output
+            g = relu_backward(ReluCache(caches[i].xp), g)
     return None if g is None else interior(g, p), param_grads
 
 
@@ -285,8 +295,22 @@ def _tensor_records(n_c: int, n_d: int):
 
 def save_checkpoint(model: CascadeModel, path) -> None:
     """Write a CSC1 file to a temp file beside ``path``, then rename it over
-    ``path``: a failed write leaves any existing checkpoint there intact."""
+    ``path``: a failed write leaves any existing checkpoint there intact.
+
+    A model the header's one (n_d, n_f, k) cannot describe, such as one whose
+    stages differ in depth, width or kernel size, raises InvalidShapeError,
+    and one of mixed precisions InvalidParameterError, before any file is
+    opened."""
     params = model.parameters()
+    k = model.k
+    shapes = [s for n_in, n_out in _channel_plan(model.n_d, model.n_f) for s in ((n_out, n_in, k, k), (n_out,))]
+    if [p.shape for p in params] != shapes * model.n_c:
+        raise InvalidShapeError(
+            f"the layers do not fit the one CSC1 header n_d={model.n_d}, n_f={model.n_f}, k={k} "
+            "read off the first stage"
+        )
+    if len({p.dtype for p in params}) > 1:
+        raise InvalidParameterError("mixed tensor precisions: a CSC1 file holds one")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:

@@ -28,24 +28,25 @@ products col2im scatters, the operand it meets is the slice of a padded-flat
 buffer from its first image value on: the image with 2p zero columns after
 each row, so the junk adds exact zeros.
 
-conv_forward keeps the [C, H, W] -> [n_out, H, W] contract: it pads, calls
-the correlation, and trims the output while adding the bias. Inside a cascade
-block, activations stay padded-flat from the first layer to the last through
-conv_forward_padded: it adds the bias in place over the output rows, then
-re-zeroes the border, junk columns included, because it is the next layer's
-padding. The ReLU then runs over the whole buffer, since max(0, 0) keeps the
-border zero, and the block pads only its input.
+One rule holds for every padded-flat buffer a layer function returns: it is
+zero outside its image, junk columns included, so it is the next layer's
+padded input or padded gradient as it stands. _zero_border is the one place
+that rule is enforced, in conv_forward_padded and conv_backward_padded. The
+raw correlation leaves its border undefined: the gathering route writes only
+its rows, into np.empty, and the junk columns hold finite values.
 
-The backward mirrors this. conv_backward keeps the [n_out, H, W] gradient
-contract: it pads grad_out, calls conv_backward_padded, and trims grad_in.
-Inside a cascade block, gradients stay padded-flat through
+Each op has one implementation, and the [C, H, W] functions are thin wrappers
+around it. conv_forward pads its input, calls conv_forward_padded, which adds
+the bias in place over the output rows before zeroing the border, and returns
+the interior as a view. conv_backward pads grad_out, calls
 conv_backward_padded, which reads the output gradient in its cache's layout
-and returns the input gradient in that layout. Its junk columns hold finite
-values, and the values before its first row and after its last, which the
-gathering route leaves unwritten, are zeroed. The block's ReLU backward then
-masks the gradient in place by where the cached ReLU output is positive, and
-that output's zero border zeroes the gradient's border, the next layer's
-padding.
+and returns the input gradient in that layout, and returns the interior.
+relu_forward and relu_backward are elementwise, so they take a padded-flat
+buffer as they take an image: max(0, 0) keeps a zero border zero, and the
+backward multiplies the gradient by where the cached ReLU output is positive,
+which keeps the gradient's zero border zero. A cascade block runs these same
+functions on its padded-flat buffers, so the per-layer tests and gradcheck
+exercise the code the cascade runs.
 
 The columns are never built whole. They are built one band of consecutive flat
 output columns at a time, into one buffer of at most _BAND_BYTES that each band
@@ -226,10 +227,20 @@ def _correlate(w4: np.ndarray, xp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zero_border(buf: np.ndarray, p: int) -> np.ndarray:
+    """Zero a padded-flat buffer outside its image, junk columns included, in place."""
+    buf[:, :p] = 0
+    buf[:, buf.shape[1] - p - 1 :] = 0
+    buf[:, :, :p] = 0
+    buf[:, :, buf.shape[2] - p :] = 0
+    return buf
+
+
 def conv_forward(layer: ConvLayer, x: np.ndarray):
     """Same-padded stride-1 cross-correlation plus per-channel bias.
 
-    Returns the [n_out, H, W] output and the cache for the backward pass.
+    Returns the [n_out, H, W] output, a view of conv_forward_padded's buffer,
+    and the cache for the backward pass.
     """
     if x.ndim != 3 or x.shape[0] != layer.n_in:
         raise InvalidShapeError(
@@ -237,25 +248,20 @@ def conv_forward(layer: ConvLayer, x: np.ndarray):
         )
     p = (layer.kernel_size - 1) // 2
     xp = pad_flat(x, p)
-    return interior(_correlate(layer.weights, xp), p) + layer.bias[:, None, None], ConvCache(xp=xp, p=p)
+    return interior(conv_forward_padded(layer, xp), p), ConvCache(xp=xp, p=p)
 
 
 def conv_forward_padded(layer: ConvLayer, xp: np.ndarray) -> np.ndarray:
     """conv_forward from one padded-flat buffer to the next, with no cache.
 
-    The output's rows get the bias in place, and then its border, junk
-    columns included, is zeroed, because it is the next layer's padding.
+    The output's rows get the bias in place, and then its border is zeroed,
+    because it is the next layer's padding.
     """
     p = (layer.kernel_size - 1) // 2
     out = _correlate(layer.weights, xp)
     rows = _rows(out, p)
     rows += layer.bias[:, None]
-    h, w = out.shape[1] - 2 * p - 1, out.shape[2] - 2 * p
-    out[:, :p] = 0
-    out[:, p + h :] = 0
-    out[:, p : p + h, :p] = 0
-    out[:, p : p + h, p + w :] = 0
-    return out
+    return _zero_border(out, p)
 
 
 def _check_cache(layer: ConvLayer, cache: ConvCache) -> int:
@@ -292,9 +298,8 @@ def conv_backward_padded(layer: ConvLayer, cache: ConvCache, gp: np.ndarray, *, 
     """conv_backward from one padded-flat gradient to the next.
 
     ``gp`` is the output gradient in the layout of ``cache.xp``, zero outside
-    the image. The returned grad_in is in that layout too: its interior is the
-    input gradient, its junk columns hold values that the caller must zero
-    before the buffer is read as padding, and its other border values are zero.
+    the image. The returned grad_in is in that layout too, with its border
+    zeroed, so it is the next layer's padded output gradient as it stands.
     """
     p = _check_cache(layer, cache)
     n_out, k = layer.n_out, layer.kernel_size
@@ -317,13 +322,7 @@ def conv_backward_padded(layer: ConvLayer, cache: ConvCache, gp: np.ndarray, *, 
         return None, grad_w, grad_b
     # the adjoint of a correlation is the correlation with the flipped, transposed kernel
     w_adj = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    grad_in = _correlate(w_adj, gp)
-    # the gathering route leaves the values before and after its rows unwritten
-    # (np.empty); a mask multiplying them by 0 would keep any NaN among them
-    flat = grad_in.reshape(c, -1)
-    flat[:, : p * wp + p] = 0
-    flat[:, p * wp + p + (hp - 2 * p - 1) * wp :] = 0
-    return grad_in, grad_w, grad_b
+    return _zero_border(_correlate(w_adj, gp), p), grad_w, grad_b
 
 
 def relu_forward(x: np.ndarray):

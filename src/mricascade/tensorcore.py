@@ -90,14 +90,6 @@ class ComplexImage:
     def dtype(self):
         return self.channels.dtype
 
-    @property
-    def real(self) -> np.ndarray:
-        return self.channels[0]
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.channels[1]
-
     def to_complex(self) -> np.ndarray:
         """View as an H x W complex128 array."""
         return self.channels[0].astype(np.float64) + 1j * self.channels[1].astype(np.float64)
@@ -115,9 +107,6 @@ class ComplexImage:
 
     def astype(self, dtype) -> "ComplexImage":
         return type(self)(self.channels.astype(dtype))
-
-    def copy(self) -> "ComplexImage":
-        return type(self)(self.channels.copy())
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.channels[0], self.channels[1])

@@ -67,6 +67,60 @@ def naive_conv2d(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.nda
     return out
 
 
+# A cascade block and its gradients as shifted adds over the zero-padded image,
+# in float64: one product per kernel tap and layer, with none of
+# mricascade.layers' layouts, bands or routes. The independent reference for
+# mricascade.layers.conv_forward_padded and for
+# mricascade.cascade.module_forward/module_backward.
+
+
+def _shifted_windows(x: np.ndarray, k: int):
+    """Yield (di, dj, view) with view[c, i, j] = x[c, i + di - p, j + dj - p], zero outside x."""
+    c, h, w = x.shape
+    p = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * p, w + 2 * p))
+    xp[:, p : p + h, p : p + w] = x
+    for di in range(k):
+        for dj in range(k):
+            yield di, dj, xp[:, di : di + h, dj : dj + w]
+
+
+def shifted_add_conv2d(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation plus bias, in float64."""
+    w64 = weights.astype(np.float64)
+    out = np.zeros((weights.shape[0], *x.shape[1:])) + bias.astype(np.float64)[:, None, None]
+    for di, dj, win in _shifted_windows(x.astype(np.float64), weights.shape[2]):
+        out += np.einsum("oc,chw->ohw", w64[:, :, di, dj], win)
+    return out
+
+
+def shifted_add_block(layers: list, x: np.ndarray, grad_out: np.ndarray):
+    """A block's output, its input gradient and [(grad_w, grad_b) per layer]
+    for the upstream gradient ``grad_out``, in float64."""
+    inputs = [x.astype(np.float64)]
+    h = shifted_add_conv2d(layers[0].weights, layers[0].bias, inputs[0])
+    for layer in layers[1:]:
+        inputs.append(np.maximum(h, 0.0))
+        h = shifted_add_conv2d(layer.weights, layer.bias, inputs[-1])
+    g = grad_out.astype(np.float64)
+    param_grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        w64, k = layers[i].weights.astype(np.float64), layers[i].kernel_size
+        p = (k - 1) // 2
+        c, hh, ww = inputs[i].shape
+        grad_w = np.zeros_like(w64)
+        grad_xp = np.zeros((c, hh + 2 * p, ww + 2 * p))
+        for di, dj, win in _shifted_windows(inputs[i], k):
+            grad_w[:, :, di, dj] = np.einsum("ohw,chw->oc", g, win)
+            grad_xp[:, di : di + hh, dj : dj + ww] += np.einsum("oc,ohw->chw", w64[:, :, di, dj], g)
+        param_grads[i] = (grad_w, g.sum(axis=(1, 2)))
+        g = grad_xp[:, p : p + hh, p : p + ww]
+        if i:
+            # layer i's input is a ReLU output, positive exactly where the ReLU input is
+            g = g * (inputs[i] > 0)
+    return h, g, param_grads
+
+
 # Row-major im2col convolution ([H*W, C*k*k] columns, cached for the backward
 # pass), kept verbatim from before the channel-major rewrite of
 # mricascade.layers as the old-vs-new equivalence reference.

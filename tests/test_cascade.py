@@ -3,9 +3,12 @@ import os
 import struct
 import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mricascade import (
     CascadeModel,
@@ -34,16 +37,17 @@ from mricascade import (
     zero_model,
 )
 from mricascade import cascade as cascade_mod
-from mricascade import cli, dclayer
-from mricascade.cascade import module_forward
-from mricascade.gradcheck import check_cascade
-from mricascade.layers import ReluCache
+from mricascade import cli, dclayer, layers
+from mricascade.cascade import module_backward, module_forward
+from mricascade.gradcheck import THRESHOLDS, check_cascade, numeric_gradient, relative_error
+from mricascade.layers import ConvLayer, ReluCache
 from oracles import (
     interleaved_module_backward,
     interleaved_module_forward,
     line_replacement_dc_backward,
     line_replacement_dc_forward,
     name_keyed_load_checkpoint,
+    shifted_add_block,
     trimmed_module_backward,
     unpadded_module_forward,
 )
@@ -341,6 +345,83 @@ class TestPaddedFlatBackward:
         assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
 
+class TestBlockGradients:
+    """module_forward and module_backward, the code the cascade runs, against
+    finite differences and an independent float64 reference."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_small_bands_pass_finite_differences(self, monkeypatch, k):
+        # 2 -> 4 widens and 4 -> 2 narrows; 64-column bands split the 12x14
+        # image's 192 (k=3) or 216 (k=5) flat columns into at least 3
+        monkeypatch.setattr(layers, "_BAND_BYTES", 1)
+        band_counts = []
+        column_bands = layers._column_bands
+
+        def spy(x, k):
+            band_counts.append(0)
+            for band in column_bands(x, k):
+                band_counts[-1] += 1
+                yield band
+
+        rng = Rng(60 + k)
+        module = CnnModule([he_init(rng, n_out, n_in, k, dtype=np.float64) for n_in, n_out in [(2, 4), (4, 4), (4, 2)]])
+        for layer in module.layers:
+            layer.bias[:] = rng.gen.standard_normal(layer.n_out) * 0.1
+        x = rng.gen.standard_normal((2, 12, 14))
+        g_up = rng.gen.standard_normal((2, 12, 14))
+        monkeypatch.setattr(layers, "_column_bands", spy)
+        out, caches = module_forward(module, x)
+        grad_in, param_grads = module_backward(module, caches, g_up)
+        monkeypatch.setattr(layers, "_column_bands", column_bands)
+        # columns for every weight gradient, for the forward of each layer
+        # that does not narrow, and for the input gradient of each that does
+        # not widen
+        assert len(band_counts) == 7 and min(band_counts) >= 3, band_counts
+
+        def loss(mod, xv):
+            return float(np.sum(module_forward(mod, xv, _keep_caches=False)[0] * g_up))
+
+        def replaced(i, weights=None, bias=None):
+            mod_layers = list(module.layers)
+            layer = mod_layers[i]
+            mod_layers[i] = ConvLayer(layer.weights if weights is None else weights, layer.bias if bias is None else bias)
+            return CnnModule(mod_layers)
+
+        checks = [("conv_input", grad_in, numeric_gradient(lambda xv: loss(module, xv), x))]
+        for i, (layer, (gw, gb)) in enumerate(zip(module.layers, param_grads, strict=True)):
+            checks.append(("conv_weight", gw, numeric_gradient(lambda wv: loss(replaced(i, weights=wv), x), layer.weights)))
+            checks.append(("conv_bias", gb, numeric_gradient(lambda bv: loss(replaced(i, bias=bv), x), layer.bias)))
+        for component, analytic, numeric in checks:
+            assert analytic.shape == numeric.shape, component
+            assert relative_error(analytic, numeric) < THRESHOLDS[component], component
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        channels=st.integers(2, 4).flatmap(lambda n_d: st.lists(st.integers(1, 6), min_size=n_d + 1, max_size=n_d + 1)),
+        k=st.sampled_from([1, 3, 5, 7]),
+        hw=st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda t: t[0] != t[1]),
+        band_bytes=st.sampled_from([1, 1000, 5000, 1 << 20]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_shifted_add_reference(self, channels, k, hw, band_bytes, seed):
+        rng = Rng(seed)
+        module = CnnModule([he_init(rng, n_out, n_in, k, dtype=np.float64) for n_in, n_out in zip(channels, channels[1:])])
+        for layer in module.layers:
+            layer.bias[:] = rng.gen.standard_normal(layer.n_out) * 0.1
+        h, w = 2 * hw[0], 2 * hw[1]
+        x = rng.gen.standard_normal((channels[0], h, w))
+        g_up = rng.gen.standard_normal((channels[-1], h, w))
+        with mock.patch.object(layers, "_BAND_BYTES", band_bytes):
+            out, caches = module_forward(module, x)
+            grad_in, param_grads = module_backward(module, caches, g_up)
+        expect_out, expect_grad_in, expect_param_grads = shifted_add_block(module.layers, x, g_up)
+        got = [out, grad_in, *(g for pair in param_grads for g in pair)]
+        expect = [expect_out, expect_grad_in, *(g for pair in expect_param_grads for g in pair)]
+        for a, b in zip(got, expect, strict=True):
+            assert a.shape == b.shape and a.dtype == np.float64
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b), initial=1.0)
+
+
 class TestReluStaysReachable:
     """The block calls the ReLU through the cascade module's name, so a
     network with the ReLU swapped out is a different network."""
@@ -447,10 +528,16 @@ class TestModelBuilders:
         with pytest.raises(InvalidParameterError):
             make(**{"n_c": 1, "n_d": 3, "n_f": 4, **bad})
 
-    def test_block_of_mixed_kernel_sizes_rejected(self):
-        # one padding serves every layer of a block
-        with pytest.raises(InvalidShapeError, match="one kernel size"):
-            CnnModule([he_init(Rng(0), 4, 2, 3), he_init(Rng(1), 2, 4, 5)])
+    @pytest.mark.parametrize(
+        "second, match",
+        [((2, 4, 5), "one kernel size"), ((2, 3, 3), "layer 0 gives 4 channels, layer 1 takes 3")],
+        ids=["kernel_size", "channels"],
+    )
+    def test_block_of_mixed_kernel_sizes_rejected(self, second, match):
+        # one padding serves every layer of a block, and each layer takes the
+        # channels the one before it gives
+        with pytest.raises(InvalidShapeError, match=match):
+            CnnModule([he_init(Rng(0), 4, 2, 3), he_init(Rng(1), *second)])
 
     def test_zero_model_has_build_model_layout(self):
         zero, built = zero_model(2, 3, 5), build_model(Rng(0), 2, 3, 5)
@@ -515,15 +602,25 @@ class TestCheckpoint:
         with pytest.raises(AttributeError):
             model.n_d = 3
 
-    def test_unequal_stages_keep_existing_checkpoint(self, tmp_path):
-        # a hand-built model whose second stage is one layer deeper than the
-        # first: the header's n_d names fewer tensors than there are
+    @pytest.mark.parametrize(
+        "second, match",
+        [
+            (dict(n_d=3), "n_d=2, n_f=2, k=3"),
+            (dict(n_f=4), "n_d=2, n_f=2, k=3"),
+            (dict(k=5), "n_d=2, n_f=2, k=3"),
+            (dict(dtype=np.float64), "mixed tensor precisions"),
+        ],
+        ids=["deeper", "wider", "other_k", "float64"],
+    )
+    def test_unequal_stages_keep_existing_checkpoint(self, tmp_path, second, match):
+        # a hand-built model whose second stage the header's one (n_d, n_f, k)
+        # and the file's one precision cannot describe
         path = tmp_path / "m.csc1"
         save_checkpoint(build_model(Rng(0), 1, 2, 2), path)
         before = path.read_bytes()
-        short, deep = build_model(Rng(1), 1, 2, 2), build_model(Rng(2), 1, 3, 2)
-        model = CascadeModel([short.stages[0], deep.stages[0]])
-        with pytest.raises(ValueError):
+        first, other = build_model(Rng(1), 1, 2, 2), build_model(Rng(2), **{"n_c": 1, "n_d": 2, "n_f": 2, **second})
+        model = CascadeModel([first.stages[0], other.stages[0]])
+        with pytest.raises(ValueError, match=match):
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csc1"]

@@ -24,6 +24,7 @@ from oracles import (
     naive_conv2d,
     rowmajor_conv_backward,
     rowmajor_conv_forward,
+    shifted_add_conv2d,
     windowed_conv_backward,
     windowed_conv_forward,
 )
@@ -125,14 +126,17 @@ class TestConvForward:
 
 
 class TestPaddedFlatLayer:
-    """conv_forward_padded is conv_forward from one padded-flat buffer to the next."""
+    """The padded-flat functions return buffers that are zero outside their
+    image, whose interior is the layer's result."""
+
+    ROUNDOFF = {np.float64: 1e-12, np.float32: 1e-5}
 
     # (3, 2) and (2, 1) run the scatter route, the others the gather route
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("h, w", [(5, 7), (16, 20)])
     @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 3), (3, 2), (2, 1)])
-    def test_interior_is_conv_forward_and_border_is_zero(self, n_in, n_out, h, w, k, dtype):
+    def test_interior_is_the_correlation_and_border_is_zero(self, n_in, n_out, h, w, k, dtype):
         rng = Rng(10 * n_in + n_out + k)
         layer = he_init(rng, n_out, n_in, k, dtype=dtype)
         layer.bias[:] = rng.gen.standard_normal(n_out)
@@ -141,9 +145,28 @@ class TestPaddedFlatLayer:
         out = layers.conv_forward_padded(layer, layers.pad_flat(x, p))
         assert out.shape == (n_out, h + 2 * p + 1, w + 2 * p) and out.dtype == dtype
         inner = layers.interior(out, p)
-        assert np.array_equal(inner, conv_forward(layer, x)[0])
-        # the bias lands everywhere, so only the re-zeroing leaves the border zero
+        expect = shifted_add_conv2d(layer.weights, layer.bias, x)
+        assert np.max(np.abs(inner - expect)) <= self.ROUNDOFF[dtype] * np.max(np.abs(expect))
+        # the bias lands everywhere, so only the zeroing leaves the border zero
         assert np.count_nonzero(out) == np.count_nonzero(inner)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("n_in, n_out", [(2, 3), (3, 2)])
+    def test_backward_returns_a_zero_border(self, monkeypatch, n_in, n_out, k):
+        # unwritten values read as NaN, which a mask multiplying by 0 would keep
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype=dtype))
+        rng = Rng(n_in + n_out + k)
+        layer = he_init(rng, n_out, n_in, k, dtype=np.float64)
+        x = rng.gen.standard_normal((n_in, 6, 9))
+        p = (k - 1) // 2
+        _, cache = conv_forward(layer, x)
+        gp = layers.pad_flat(rng.gen.standard_normal((n_out, 6, 9)), p)
+        grad_in, _, _ = layers.conv_backward_padded(layer, cache, gp)
+        monkeypatch.setattr(np, "empty", empty)
+        assert grad_in.shape == cache.xp.shape
+        inner = layers.interior(grad_in, p)
+        assert np.isfinite(grad_in).all() and np.count_nonzero(grad_in) == np.count_nonzero(inner) > 0
 
 
 class TestConvBackward:
