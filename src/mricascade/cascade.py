@@ -143,6 +143,16 @@ def _channel_plan(n_d: int, n_f: int) -> list:
     return [(2, n_f)] + [(n_f, n_f)] * (n_d - 2) + [(n_f, 2)]
 
 
+def check_kernel_fits(k: int, height: int, width: int) -> None:
+    """Reject a kernel with taps that can never overlap an image of this size:
+    a tap offset of (k-1)/2 or more rows or columns reads only zero padding."""
+    if (k - 1) // 2 >= min(height, width):
+        raise InvalidShapeError(
+            f"kernel size k={k} is too large for a {height}x{width} image: "
+            f"(k-1)/2 must be below {min(height, width)}"
+        )
+
+
 def build_model(
     rng: Rng,
     n_c: int,
@@ -222,8 +232,10 @@ def cascade_forward(model: CascadeModel, meas: Measurements, *, _keep_caches: bo
     ``cache.cfg.zero_fill`` is the starting image. Inference passes
     ``_keep_caches=False``: every layer input is then freed once the next
     layer has read it, and the cache holds no stage caches, so
-    :func:`cascade_backward` rejects it.
+    :func:`cascade_backward` rejects it. A kernel too large for the image
+    raises :class:`InvalidShapeError` (:func:`check_kernel_fits`).
     """
+    check_kernel_fits(model.k, meas.mask.height, meas.mask.width)
     cfg = DcConfig(measured=meas, lam=model.lam)
     x = cfg.zero_fill.astype(model.dtype)
     stage_caches = []

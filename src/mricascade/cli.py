@@ -165,6 +165,14 @@ def cmd_train(args) -> int:
     if not images:
         raise InvalidParameterError("training split is empty")
 
+    # the line budget and the kernel's fit depend on the image size: check
+    # them before a model is built or anything is written, the masks on a
+    # throwaway stream so training draws stay as they are; the worker count
+    # train_epoch reads is checked here for the same reason
+    for height, width in {(img.height, img.width) for img in images}:
+        generate_mask(Rng(0), height, width, args.acceleration, args.n_low)
+        cascade_mod.check_kernel_fits(args.k, height, width)
+    worker_count()
     rng = Rng(args.seed)
     if args.init_checkpoint:
         model = cascade_mod.load_checkpoint(args.init_checkpoint)
@@ -184,12 +192,6 @@ def cmd_train(args) -> int:
         augment=not args.no_augment,
         seed=args.seed,
     )
-    # the line budget depends on the image height: check it before anything
-    # is written, on a throwaway stream so training draws stay as they are;
-    # the worker count train_epoch reads is checked here for the same reason
-    for height in {img.height for img in images}:
-        generate_mask(Rng(0), height, 1, args.acceleration, args.n_low)
-    worker_count()
     train_rng = rng.child(1)
     state = init_adam_state(model.parameters())
     out = Path(args.out)

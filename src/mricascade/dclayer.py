@@ -13,19 +13,16 @@ a fixed linear map plus a scaled copy of the zero-filled image ``F_u^H y``.
 Masks are whole phase-encode lines (image rows), so ``D`` scales rows of
 k-space and the readout transform along the width cancels against its
 inverse: ``F^H D F x = x - w * F_S^H F_S x``, where ``F_S`` holds the |S|
-sampled rows of the orthonormal 1-D DFT over the height and acts on each
-column of the image. Write ``F_S = C + iS``. On the two channels stacked into
-a real ``[2H, W]`` array (real part above imaginary part), ``F_S`` acts as the
-real ``[2|S|, 2H]`` matrix ``M = [[C, -S], [S, C]]`` and ``F_S^H`` as
-``M^T``, so
+sampled rows of the orthonormal 1-D DFT over the height. The mask owns that
+operator: :meth:`SamplingMask.operator` gives it as a real ``[2|S|, 2H]``
+matrix ``M`` acting on the two channels stacked into ``[2H, W]``, with ``M^T``
+for ``F_S^H``, so
 
     dc(x) = x - w * M^T (M x) + w * x_u
 
-is two thin real matrix products. ``M`` depends on the mask alone, so it is
-built once per :class:`SamplingMask` object, in the dtype of the image it is
-first applied to, and kept on the mask; ``w * x_u`` is cast once per
-:class:`DcConfig`. So the DC arithmetic runs in the model's precision, and
-the slices of a volume, which share a mask, share one build.
+is two thin real matrix products in the image's precision. The slices of a
+volume share a mask, and so share one build of ``M``; ``w * x_u`` is cast
+once per :class:`DcConfig`.
 
 The layer has no trainable parameters. Its Jacobian with respect to the input
 is the linear part ``I - w * M^T M``, which is symmetric, so the backward
@@ -42,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidShapeError
+# bound here for perfbench/tests/test_perfbench.py::test_tracer_wraps_every_name_callers_use
 from .fourier import fft2_complex
 from .sampling import Measurements, SamplingMask, zero_filled
 from .tensorcore import ComplexImage
@@ -95,23 +93,6 @@ class DcConfig:
         return self._measured_parts[key]
 
 
-def _operator(mask: SamplingMask, dtype) -> np.ndarray:
-    """``M = [[C, -S], [S, C]]`` in ``dtype``, from the sampled rows
-    ``F_S = C + iS`` of the orthonormal 1-D DFT over the height. Built in
-    float64 on first use per mask and dtype, cast, and kept on the mask.
-
-    The DFT of the sampled unit vectors gives the matching columns of the
-    DFT matrix, which is symmetric, so they are its rows.
-    """
-    key = np.dtype(dtype)
-    ops = mask.dc_operators
-    if key not in ops:
-        unit = np.eye(mask.height)[mask.phase_lines, :, None]
-        f_s = fft2_complex(unit)[:, :, 0]
-        ops[key] = np.block([[f_s.real, -f_s.imag], [f_s.imag, f_s.real]]).astype(key, copy=False)
-    return ops[key]
-
-
 def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
     """``F^H D F img = x - w * M^T (M x)`` as a ``[2H, W]`` array in img's dtype."""
     if (img.height, img.width) != (cfg.mask.height, cfg.mask.width):
@@ -120,7 +101,7 @@ def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
             f"{cfg.mask.height}x{cfg.mask.width}"
         )
     x = img.channels.reshape(2 * img.height, img.width)
-    m = _operator(cfg.mask, img.dtype)
+    m = cfg.mask.operator(img.dtype)
     return x - cfg.weight * (m.T @ (m @ x))
 
 

@@ -6,9 +6,12 @@ normalization. The DC coefficient sits at index (0, 0); any centered-frequency
 logic belongs to the sampling masks, not to the transform.
 
 Every size goes through one separable dense transform, F_H @ z @ F_W, with
-cached DFT matrices. Each matrix entry is built from the exact integer phase
-j*k mod n, so the argument of exp stays below 2*pi and its roundoff does not
-grow as n^2 the way it would for the raw product j*k.
+cached DFT matrices (:func:`dft_matrix`). Each matrix entry is built from the
+exact integer phase j*k mod n, so the argument of exp stays below 2*pi and its
+roundoff does not grow as n^2 the way it would for the raw product j*k.
+
+No runtime step runs the full transform, which the tests use as a reference:
+masks are whole rows, and :mod:`sampling` takes the sampled rows of dft_matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ class KSpace(ComplexImage):
 
 
 @lru_cache(maxsize=None)
-def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    """Unnormalized n x n DFT matrix exp(sign * 2*pi*i * j*k / n), symmetric."""
+def dft_matrix(n: int, sign: int) -> np.ndarray:
+    """Unnormalized n x n DFT matrix exp(sign * 2*pi*i * j*k / n), symmetric
+    and read-only; ``sign=-1`` is the forward transform, ``+1`` its adjoint."""
     j = np.arange(n)
     m = np.exp(sign * 2j * np.pi * (np.outer(j, j) % n) / n)
     m.setflags(write=False)
@@ -39,16 +43,10 @@ def _dft_matrix(n: int, sign: int) -> np.ndarray:
 
 def fft2_complex(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Orthonormal 2D DFT over the last two axes; the complex128 DFT matrices
-    make the arithmetic complex128 whatever the input dtype.
-
-    Its callers are the encoding (:func:`fft2`), the zero-fill
-    (:func:`ifft2`) and the build of the data-consistency operator, once per
-    ``SamplingMask`` and dtype (``dclayer._operator``, kept in
-    ``SamplingMask.dc_operators``); the cascade loop itself makes no DFT call.
-    """
+    make the arithmetic complex128 whatever the input dtype."""
     h, w = z.shape[-2], z.shape[-1]
     sign = 1 if inverse else -1
-    return (_dft_matrix(h, sign) @ z @ _dft_matrix(w, sign)) / math.sqrt(h * w)
+    return (dft_matrix(h, sign) @ z @ dft_matrix(w, sign)) / math.sqrt(h * w)
 
 
 def fft2(img: ComplexImage) -> KSpace:

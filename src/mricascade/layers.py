@@ -49,10 +49,12 @@ functions on its padded-flat buffers, so the per-layer tests and gradcheck
 exercise the code the cascade runs.
 
 The columns are never built whole. They are built one band of consecutive flat
-output columns at a time, into one buffer of at most _BAND_BYTES that each band
-refills. A gathering correlation writes each band's GEMM straight into its slice
-of the output, and a weight gradient sums the products of its bands. Bands need
-not end at a row boundary. A weight gradient's GEMM puts whichever operand has
+output columns at a time, into one buffer that each band refills. A band is at
+least 64 columns wide, so the buffer holds at most max(_BAND_BYTES,
+C*k*k*64*itemsize) bytes: 1.3 MB for 64 channels at k=9 in float32. A
+gathering correlation writes each band's GEMM straight into its slice of the
+output, and a weight gradient sums the products of its bands. Bands need not
+end at a row boundary. A weight gradient's GEMM puts whichever operand has
 more rows on the left, the columns or the rows they meet, because BLAS runs it
 faster that way, and transposes its sum once at the end.
 """
@@ -142,7 +144,8 @@ def _rows(xp: np.ndarray, p: int) -> np.ndarray:
 
 
 # bytes of one band of conv columns: half of a 2 MiB L2, so a band and the
-# weights it meets stay in cache through its GEMM
+# weights it meets stay in cache through its GEMM; the 64-column floor of a
+# band makes it C*k*k*64*itemsize when that is larger
 _BAND_BYTES = 1 << 20
 
 

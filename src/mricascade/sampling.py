@@ -6,17 +6,23 @@ DC is always acquired, and the remaining budget is drawn without replacement
 with probability proportional to a zero-mean Gaussian over the centered line
 offset. Budgets are exact (``round(H / acceleration)`` lines) so that error
 comparisons across masks are fair.
+
+Masks are whole rows, so the acquisition ``F_u`` is the 2-D DFT on the sampled
+rows S alone, and only the rows ``F_H[S]`` of the height DFT are needed: the
+encoding is ``F_H[S] x F_W``, the zero-fill ``F_H[S]^H y_S F_W^H`` (both over
+sqrt(HW), in complex128), and the data-consistency layer uses the mask's real
+form of ``F_H[S]``, :meth:`SamplingMask.operator`. No step runs a full 2-D DFT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidShapeError
-from .fourier import KSpace, fft2, ifft2
+from .fourier import KSpace, dft_matrix
 from .tensorcore import ComplexImage, Rng
 
 
@@ -49,12 +55,19 @@ class SamplingMask:
     def line_count(self) -> int:
         return int(np.count_nonzero(self.phase_lines))
 
-    @cached_property
-    def dc_operators(self) -> dict:
-        """The data-consistency operator of this mask by dtype, filled in by
-        :mod:`dclayer` on first use. It lives and dies with the mask, so
-        images that share a mask share one build."""
-        return {}
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def operator(self, dtype) -> np.ndarray:
+        """The sampled rows ``F_S = C + iS = dft_matrix(H, -1)[phase_lines] / sqrt(H)``
+        of the orthonormal 1-D DFT as the real ``[2|S|, 2H]`` matrix
+        ``M = [[C, -S], [S, C]]`` in ``dtype``: built in float64 once per dtype,
+        cast, and kept on the mask, so images that share a mask share one build."""
+        key = np.dtype(dtype)
+        if key not in self._operators:
+            f_s = dft_matrix(self.height, -1)[self.phase_lines] / math.sqrt(self.height)
+            m = np.block([[f_s.real, -f_s.imag], [f_s.imag, f_s.real]])
+            self._operators[key] = m.astype(key, copy=False)
+        return self._operators[key]
 
     def to_tensor(self, dtype=np.float32) -> np.ndarray:
         """0/1 vector of length H, the serialized form of the mask."""
@@ -153,18 +166,23 @@ class Measurements:
 
 
 def apply_encoding(img: ComplexImage, mask: SamplingMask) -> Measurements:
-    """Undersampled Fourier encoding: fft2 followed by restriction to the mask."""
+    """Undersampled Fourier encoding ``y = F_u x``: the 2-D DFT on the sampled
+    rows only, written into a k-space whose other rows are never touched, so
+    they are exact zeros whatever the image holds."""
     if (img.height, img.width) != (mask.height, mask.width):
         raise InvalidShapeError(
             f"image is {img.height}x{img.width} but mask is {mask.height}x{mask.width}"
         )
-    k = fft2(img)
-    # where, not multiply: off-support entries must be exact zeros even if a
-    # pathological input put non-finite values into k-space
-    kept = np.where(mask.phase_lines[None, :, None], k.channels, k.dtype.type(0))
-    return Measurements(kspace=KSpace(kept), mask=mask)
+    h, w, s = img.height, img.width, mask.phase_lines
+    y = (dft_matrix(h, -1)[s] @ img.to_complex() @ dft_matrix(w, -1)) / math.sqrt(h * w)
+    k = np.zeros_like(img.channels)
+    k[0, s], k[1, s] = y.real, y.imag
+    return Measurements(kspace=KSpace(k), mask=mask)
 
 
 def zero_filled(meas: Measurements) -> ComplexImage:
-    """Adjoint reconstruction: inverse DFT of the zero-padded measurements."""
-    return ifft2(meas.kspace)
+    """Adjoint reconstruction ``x_u = F_u^H y``, from the sampled rows alone."""
+    k, s = meas.kspace, meas.mask.phase_lines
+    h, w = k.height, k.width
+    x = (dft_matrix(h, 1)[:, s] @ k.to_complex()[s] @ dft_matrix(w, 1)) / math.sqrt(h * w)
+    return ComplexImage.from_complex(x, dtype=k.dtype)

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from mricascade import sampling
+from mricascade import fourier, sampling
 
 
 @pytest.fixture(autouse=True)
@@ -12,16 +12,14 @@ def one_worker(monkeypatch):
     monkeypatch.delenv("CASCADE_RECON_THREADS", raising=False)
 
 
-@pytest.fixture
-def zero_filled_calls(monkeypatch):
-    """Count calls of ``sampling.zero_filled`` made through any mricascade
-    module name bound to it; returns the list of measurements it was given."""
+def spy_on_bindings(monkeypatch, original):
+    """Route every mricascade module name bound to ``original`` through a spy
+    that records each call's first argument; returns the record."""
     calls = []
-    original = sampling.zero_filled
 
-    def spy(meas):
-        calls.append(meas)
-        return original(meas)
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "mricascade" or name.startswith("mricascade."):
@@ -29,3 +27,17 @@ def zero_filled_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, attr, spy)
     return calls
+
+
+@pytest.fixture
+def zero_filled_calls(monkeypatch):
+    """The measurements of every ``sampling.zero_filled`` call, through any
+    mricascade module name bound to it."""
+    return spy_on_bindings(monkeypatch, sampling.zero_filled)
+
+
+@pytest.fixture
+def full_dft_calls(monkeypatch):
+    """The input of every ``fourier.fft2_complex`` call, through any
+    mricascade module name bound to it; ``fft2`` and ``ifft2`` call it too."""
+    return spy_on_bindings(monkeypatch, fourier.fft2_complex)

@@ -20,6 +20,7 @@ from mricascade import (
     InvalidShapeError,
     InvalidStateError,
     Rng,
+    SamplingMask,
     apply_encoding,
     build_model,
     cascade_backward,
@@ -96,6 +97,18 @@ class TestCascadeForward:
         assert np.max(np.abs(k_out[on] - k_meas[on])) < tol
 
 
+class TestKernelFitsImage:
+    def test_taps_that_never_overlap_the_image_are_rejected(self):
+        _, meas, _ = problem(0, h=8, w=12, n_low=2, dtype=np.float32)
+        # p = (k-1)/2 must stay below min(H, W) = 8
+        cascade_forward(zero_model(1, 2, 2, k=15), meas)
+        for k in (17, 41):
+            with pytest.raises(InvalidShapeError, match=f"k={k}"):
+                cascade_forward(zero_model(1, 2, 2, k=k), meas)
+            with pytest.raises(InvalidShapeError, match=f"k={k}"):
+                reconstruct(zero_model(1, 2, 2, k=k), meas)
+
+
 class TestOneZeroFill:
     def test_forward_zero_fills_once(self, zero_filled_calls):
         _, meas, _ = problem(10)
@@ -134,42 +147,44 @@ class TestOneZeroFill:
 
 @pytest.fixture
 def operator_builds(monkeypatch):
-    """Mask heights of the DC operator builds: each build makes one DFT
-    through ``dclayer.fft2_complex``."""
+    """Mask heights of the row-operator builds: ``SamplingMask.operator``
+    calls that find no operator of their dtype kept on the mask."""
     heights = []
-    dft = dclayer.fft2_complex
+    operator = SamplingMask.operator
 
-    def counted_dft(z, inverse=False):
-        heights.append(z.shape[1])
-        return dft(z, inverse)
+    def counted(mask, dtype):
+        if np.dtype(dtype) not in mask._operators:
+            heights.append(mask.height)
+        return operator(mask, dtype)
 
-    monkeypatch.setattr(dclayer, "fft2_complex", counted_dft)
+    monkeypatch.setattr(SamplingMask, "operator", counted)
     return heights
 
 
 class TestNoComplexRoundTripPerStage:
-    def test_one_operator_build_and_one_zero_fill(self, monkeypatch):
-        # measurements are encoded before counting starts
-        _, meas, _ = problem(13, dtype=np.float32)
+    def test_one_operator_build_and_one_zero_fill(self, monkeypatch, operator_builds, full_dft_calls):
+        truth, _, _ = problem(13, dtype=np.float32)
+        mask = generate_mask(Rng(1013), 16, 16, 3.0, 4)
         model = build_model(Rng(14), n_c=3, n_d=3, n_f=16)
-        dft_calls, to_complex_calls = [], []
-        dft, to_complex = dclayer.fft2_complex, ComplexImage.to_complex
-
-        def counted_dft(z, inverse=False):
-            dft_calls.append(z.shape)
-            return dft(z, inverse)
+        to_complex_calls = []
+        to_complex = ComplexImage.to_complex
 
         def counted_to_complex(img):
             to_complex_calls.append(img.channels.shape)
             return to_complex(img)
 
-        monkeypatch.setattr(dclayer, "fft2_complex", counted_dft)
         monkeypatch.setattr(ComplexImage, "to_complex", counted_to_complex)
+        meas = apply_encoding(truth, mask)
         out, cache = cascade_forward(model, meas)
         cascade_backward(model, cache, out)
-        assert dft_calls == [(meas.mask.line_count, 16, 1)]
-        assert to_complex_calls == [(2, 16, 16)]
+        assert operator_builds == [16]
+        # the encoding's and the zero-fill's, none per stage
+        assert to_complex_calls == [(2, 16, 16)] * 2
         assert out.dtype == np.float32
+        reconstruct(model, meas)
+        assert operator_builds == [16]
+        # encoding, zero-fill and data consistency use the mask's sampled rows
+        assert full_dft_calls == []
 
     def test_measurements_sharing_a_mask_share_one_build(self, operator_builds):
         # two slices of a volume: one mask, two measurements

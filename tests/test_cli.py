@@ -463,6 +463,27 @@ class TestInputErrors:
         assert "phantom.cxt" in assert_input_error(main(argv), capsys)
         assert not (out / "x_cnn.cxt").exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "train"])
+    def test_kernel_larger_than_image_is_input_error(self, tmp_path, capsys, command):
+        # k=41 has p=20 >= 8: 26 of its 41 tap offsets per axis never touch an 8x8 image
+        data = tmp_path / "data8"
+        assert main(["generate", "--n", "3", "--size", "8", "--seed", "0", "--out", str(data)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "k41.csc1"
+        save_checkpoint(zero_model(1, 2, 2, k=41), ckpt)
+        out = tmp_path / "out"
+        mask_flags = ["--acceleration", "3", "--n-low", "2"]
+        argv = {
+            "reconstruct": ["reconstruct", "--checkpoint", str(ckpt), "--image",
+                            str(read_manifest(data)[0][0]), "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data), "--split", "train",
+                         "--out-report", str(out / "report.csv")],
+            "train": ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "2", "--k", "41",
+                      "--epochs", "1", "--out", str(out / "m.csc1")],
+        }[command]
+        assert "k=41" in assert_input_error(main(argv + mask_flags), capsys)
+        assert not out.exists()
+
     def test_non_finite_checkpoint_is_input_error(self, dataset, tmp_path, capsys):
         model = build_model(Rng(0), 1, 2, 2)
         model.stages[0].layers[0].bias[1] = np.nan

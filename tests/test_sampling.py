@@ -11,6 +11,7 @@ from mricascade import (
     apply_encoding,
     fft2,
     generate_mask,
+    ifft2,
     zero_filled,
 )
 from mricascade.fourier import KSpace
@@ -119,6 +120,48 @@ class TestApplyEncoding:
         mask = generate_mask(Rng(0), 16, 16, 2.0, 2)
         with pytest.raises(InvalidShapeError):
             apply_encoding(img, mask)
+
+
+def row_masks(h, w):
+    """An empty, a one-line, a random and a full mask of one size."""
+    one = np.zeros(h, dtype=bool)
+    one[h // 3] = True
+    return {
+        "empty": SamplingMask(h, w, np.zeros(h, dtype=bool)),
+        "one-line": SamplingMask(h, w, one),
+        "random": generate_mask(Rng(h + w), h, w, 3.0, 2),
+        "full": SamplingMask(h, w, np.ones(h, dtype=bool)),
+    }
+
+
+class TestSampledRowsMatchFullDft:
+    """The encoding and the zero-fill compute only the sampled rows; the
+    reference is the full 2-D DFT restricted to the mask, and its inverse."""
+
+    @pytest.mark.parametrize("kind", ["empty", "one-line", "random", "full"])
+    @pytest.mark.parametrize("h,w", [(8, 8), (12, 20), (64, 64), (80, 80)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-14), (np.float32, 1e-6)])
+    def test_encoding_and_zero_fill(self, kind, h, w, dtype, tol):
+        img = random_image(h * w, h, w, dtype)
+        mask = row_masks(h, w)[kind]
+        on = mask.phase_lines[None, :, None]
+        expect_k = np.where(on, fft2(img).channels, 0)
+        meas = apply_encoding(img, mask)
+        x_u = zero_filled(meas)
+        expect_x = ifft2(KSpace(expect_k)).channels
+        for got, expect in ((meas.kspace.channels, expect_k), (x_u.channels, expect_x)):
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
+        assert np.all(meas.kspace.channels[:, ~mask.phase_lines] == 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nan_pixel_leaves_off_support_rows_exactly_zero(self, dtype):
+        img = random_image(7, 16, 16, dtype)
+        img.channels[1, 5, 9] = np.nan
+        mask = generate_mask(Rng(8), 16, 16, 3.0, 4)
+        k = apply_encoding(img, mask).kspace.channels
+        assert np.all(np.isnan(k[:, mask.phase_lines]))
+        assert np.all(k[:, ~mask.phase_lines] == 0)
 
 
 class TestMeasurements:
