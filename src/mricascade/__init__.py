@@ -21,7 +21,7 @@ from .errors import (
     InvalidStateError,
     TrainingDivergedError,
 )
-from .fourier import KSpace, fft2, ifft2
+from .fourier import fft2, ifft2
 from .layers import ConvLayer, conv_backward, conv_forward, he_init, relu_backward, relu_forward, residual_add
 from .phantom import PhantomSpec, make_dataset, make_phantom, split_indices
 from .sampling import Measurements, SamplingMask, apply_encoding, generate_mask, zero_filled

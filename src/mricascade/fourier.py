@@ -24,13 +24,6 @@ import numpy as np
 from .tensorcore import ComplexImage
 
 
-class KSpace(ComplexImage):
-    """Spatial-frequency counterpart of ComplexImage, same [2, H, W] layout.
-
-    Index (0, 0) is the DC component; no implicit fftshift is applied.
-    """
-
-
 @lru_cache(maxsize=None)
 def dft_matrix(n: int, sign: int) -> np.ndarray:
     """Unnormalized n x n DFT matrix exp(sign * 2*pi*i * j*k / n), symmetric
@@ -49,9 +42,9 @@ def fft2_complex(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     return (dft_matrix(h, sign) @ z @ dft_matrix(w, sign)) / math.sqrt(h * w)
 
 
-def fft2(img: ComplexImage) -> KSpace:
+def fft2(img: ComplexImage) -> ComplexImage:
     """Orthonormal forward 2D DFT: k(u,v) = (HW)^-1/2 sum x(i,j) e^{-2pi i(ui/H+vj/W)}."""
-    return KSpace.from_complex(fft2_complex(img.to_complex()), dtype=img.dtype)
+    return ComplexImage.from_complex(fft2_complex(img.to_complex()), dtype=img.dtype)
 
 
 def ifft2(k: ComplexImage) -> ComplexImage:

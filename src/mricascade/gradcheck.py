@@ -5,9 +5,10 @@ and compare analytic gradients against a numeric oracle that knows nothing
 about the backward implementations: it only evaluates the forward maps.
 
 Errors are infinity-norm relative: ||analytic - numeric||_inf over the
-larger of the two gradient norms. ``corrupt`` deliberately scales one
-analytic gradient so the harness can be shown to catch a broken backward
-pass (negative control).
+larger of the two gradient norms. ``corrupt`` names one of the seven
+components in :data:`THRESHOLDS` and scales its analytic gradient by 1.001,
+so the harness can be shown to catch a broken backward pass (negative
+control); any other value is an input error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .cascade import build_model, cascade_backward, cascade_forward
 from .dclayer import DcConfig, dc_backward, dc_forward
+from .errors import InvalidParameterError
 from .layers import ConvLayer, conv_backward, conv_forward, he_init, relu_backward, relu_forward
 from .sampling import apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng
@@ -74,6 +76,12 @@ class CheckResult:
         return self.max_error < self.threshold
 
 
+def _result(component: str, analytic: np.ndarray, numeric: np.ndarray, corrupt: str | None) -> CheckResult:
+    if corrupt == component:
+        analytic = analytic * 1.001
+    return CheckResult(component, relative_error(analytic, numeric), THRESHOLDS[component])
+
+
 def check_conv(seed: int = 0, corrupt: str | None = None) -> list:
     rng = Rng(seed)
     layer = he_init(rng, n_out=2, n_in=1, k=3, dtype=np.float64)
@@ -81,36 +89,16 @@ def check_conv(seed: int = 0, corrupt: str | None = None) -> list:
     x = rng.gen.standard_normal((1, 6, 6))
     out, cache = conv_forward(layer, x)
     g_up = rng.gen.standard_normal(out.shape)
-
     grad_in, grad_w, grad_b = conv_backward(layer, cache, g_up)
-    if corrupt == "conv_input":
-        grad_in = grad_in * 1.001
+    w, b = layer.weights, layer.bias
 
-    def scalar_from_input(xv):
-        return float(np.sum(conv_forward(layer, xv)[0] * g_up))
-
-    def scalar_from_weights(wv):
-        return float(np.sum(conv_forward(ConvLayer(wv, layer.bias), x)[0] * g_up))
-
-    def scalar_from_bias(bv):
-        return float(np.sum(conv_forward(ConvLayer(layer.weights, bv), x)[0] * g_up))
+    def scalar(xv, wv, bv):
+        return float(np.sum(conv_forward(ConvLayer(wv, bv), xv)[0] * g_up))
 
     return [
-        CheckResult(
-            "conv_input",
-            relative_error(grad_in, numeric_gradient(scalar_from_input, x)),
-            THRESHOLDS["conv_input"],
-        ),
-        CheckResult(
-            "conv_weight",
-            relative_error(grad_w, numeric_gradient(scalar_from_weights, layer.weights)),
-            THRESHOLDS["conv_weight"],
-        ),
-        CheckResult(
-            "conv_bias",
-            relative_error(grad_b, numeric_gradient(scalar_from_bias, layer.bias)),
-            THRESHOLDS["conv_bias"],
-        ),
+        _result("conv_input", grad_in, numeric_gradient(lambda v: scalar(v, w, b), x), corrupt),
+        _result("conv_weight", grad_w, numeric_gradient(lambda v: scalar(x, v, b), w), corrupt),
+        _result("conv_bias", grad_b, numeric_gradient(lambda v: scalar(x, w, v), b), corrupt),
     ]
 
 
@@ -121,16 +109,11 @@ def check_relu(seed: int = 0, corrupt: str | None = None) -> CheckResult:
     x = np.where(np.abs(x) < 0.1, x + np.where(x >= 0, 0.2, -0.2), x)
     out, cache = relu_forward(x)
     g_up = rng.gen.standard_normal(out.shape)
-    grad_in = relu_backward(cache, g_up)
-    if corrupt == "relu":
-        grad_in = grad_in * 1.001
 
     def scalar(xv):
         return float(np.sum(relu_forward(xv)[0] * g_up))
 
-    return CheckResult(
-        "relu", relative_error(grad_in, numeric_gradient(scalar, x)), THRESHOLDS["relu"]
-    )
+    return _result("relu", relu_backward(cache, g_up), numeric_gradient(scalar, x), corrupt)
 
 
 def check_mse(seed: int = 0, corrupt: str | None = None) -> CheckResult:
@@ -138,21 +121,15 @@ def check_mse(seed: int = 0, corrupt: str | None = None) -> CheckResult:
     x = ComplexImage(rng.gen.standard_normal((2, 6, 6)))
     target = ComplexImage(rng.gen.standard_normal((2, 6, 6)))
     _, grad = mse_loss(x, target)
-    analytic = grad.channels
-    if corrupt == "mse_loss":
-        analytic = analytic * 1.001
 
     def scalar(ch):
         return mse_loss(ComplexImage(ch), target)[0]
 
-    return CheckResult(
-        "mse_loss",
-        relative_error(analytic, numeric_gradient(scalar, x.channels)),
-        THRESHOLDS["mse_loss"],
-    )
+    return _result("mse_loss", grad.channels, numeric_gradient(scalar, x.channels), corrupt)
 
 
 def check_dclayer(seed: int = 0, lam: float = 2.0, corrupt: str | None = None) -> CheckResult:
+    """The worse of the two modes: weighted (``lam``) and noiseless (inf)."""
     rng = Rng(seed)
     truth = ComplexImage(rng.gen.standard_normal((2, 8, 8)))
     mask = generate_mask(rng.child(1), 8, 8, acceleration=2.0, n_low=2)
@@ -160,29 +137,20 @@ def check_dclayer(seed: int = 0, lam: float = 2.0, corrupt: str | None = None) -
     x = ComplexImage(rng.gen.standard_normal((2, 8, 8)))
     g_up = ComplexImage(rng.gen.standard_normal((2, 8, 8)))
 
-    worst = 0.0
+    results = []
     for mode_lam in (lam, math.inf):
         cfg = DcConfig(measured=measured, lam=mode_lam)
         analytic = dc_backward(g_up, cfg).channels
-        if corrupt == "dclayer":
-            analytic = analytic * 1.001
 
         def scalar(ch, _cfg=cfg):
             return float(np.sum(dc_forward(ComplexImage(ch), _cfg).channels * g_up.channels))
 
-        worst = max(worst, relative_error(analytic, numeric_gradient(scalar, x.channels)))
-    return CheckResult("dclayer", worst, THRESHOLDS["dclayer"])
+        results.append(_result("dclayer", analytic, numeric_gradient(scalar, x.channels), corrupt))
+    return max(results, key=lambda r: r.max_error)
 
 
-def check_cascade(
-    seed: int = 0,
-    size: int = 16,
-    n_c: int = 2,
-    n_d: int = 3,
-    n_f: int = 4,
-    n_samples: int = 50,
-    corrupt: str | None = None,
-) -> CheckResult:
+def check_cascade(seed: int = 0, size: int = 16, n_c: int = 2, n_d: int = 3, n_f: int = 4,
+                  n_samples: int = 50, corrupt: str | None = None) -> CheckResult:
     rng = Rng(seed)
     model = build_model(rng, n_c=n_c, n_d=n_d, n_f=n_f, dtype=np.float64)
     truth = ComplexImage(rng.gen.standard_normal((2, size, size)))
@@ -193,46 +161,32 @@ def check_cascade(
     x_cnn, cache = cascade_forward(model, meas)
     _, loss_grad = mse_loss(x_cnn, truth)
     grads = cascade_backward(model, cache, loss_grad)
-    if corrupt == "cascade_params":
-        grads = [g * 1.001 for g in grads]
 
-    def full_loss():
+    # compare a random subsample of parameter coordinates, spread over stages
+    theta = np.concatenate([p.reshape(-1) for p in params])
+    bounds = np.cumsum([p.size for p in params])[:-1]
+    picks = rng.gen.choice(theta.size, size=min(n_samples, theta.size), replace=False)
+    start = theta[picks]
+
+    def loss_at(values):
+        theta[picks] = values
+        for p, part in zip(params, np.split(theta, bounds)):
+            p[...] = part.reshape(p.shape)
         out, _ = cascade_forward(model, meas)
         return mse_loss(out, truth)[0]
 
-    # compare a random subsample of parameter coordinates, spread over stages
-    total = sum(p.size for p in params)
-    picks = rng.gen.choice(total, size=min(n_samples, total), replace=False)
-    offsets = np.cumsum([0] + [p.size for p in params])
-    eps = 1e-5
-    analytic = np.zeros(len(picks))
-    numeric = np.zeros(len(picks))
-    for j, pick in enumerate(picks):
-        pi = int(np.searchsorted(offsets, pick, side="right")) - 1
-        flat_idx = int(pick - offsets[pi])
-        p = params[pi].reshape(-1)
-        orig = p[flat_idx]
-        p[flat_idx] = orig + eps
-        f_plus = full_loss()
-        p[flat_idx] = orig - eps
-        f_minus = full_loss()
-        p[flat_idx] = orig
-        numeric[j] = (f_plus - f_minus) / (2 * eps)
-        analytic[j] = grads[pi].reshape(-1)[flat_idx]
-    return CheckResult(
-        "cascade_params", relative_error(analytic, numeric), THRESHOLDS["cascade_params"]
-    )
+    numeric = numeric_gradient(loss_at, start)
+    loss_at(start)  # put the parameters back
+    analytic = np.concatenate([g.reshape(-1) for g in grads])[picks]
+    return _result("cascade_params", analytic, numeric, corrupt)
 
 
-def run_gradcheck(
-    seed: int = 0,
-    size: int = 16,
-    n_c: int = 2,
-    n_d: int = 3,
-    n_f: int = 4,
-    corrupt: str | None = None,
-) -> list:
-    """Run every finite-difference suite; returns one result per component."""
+def run_gradcheck(seed: int = 0, size: int = 16, n_c: int = 2, n_d: int = 3, n_f: int = 4,
+                  corrupt: str | None = None) -> list:
+    """Run every finite-difference suite; returns one result per component,
+    in :data:`THRESHOLDS` order."""
+    if corrupt is not None and corrupt not in THRESHOLDS:
+        raise InvalidParameterError(f"corrupt must be one of {', '.join(THRESHOLDS)}; got {corrupt!r}")
     results = list(check_conv(seed, corrupt))
     results.append(check_relu(seed, corrupt))
     results.append(check_mse(seed, corrupt))

@@ -10,8 +10,8 @@ the k*k shifted products back through col2im. The conv cache keeps only the
 layer input, in the padded-flat layout below, and the ReLU cache only the ReLU
 output, which is positive exactly where the input is; inside a cascade block
 the two are the same array, and the backward never writes into it.
-conv_backward can skip the input gradient, which a cascade's very first layer
-never needs.
+conv_backward_padded can skip the input gradient, which a cascade's very
+first layer never needs.
 
 Every correlation reads a padded-flat layout. An input [C, H, W] is held
 zero-padded by p = (k-1)/2 on every side, plus one more zero row, as a
@@ -280,21 +280,16 @@ def _check_cache(layer: ConvLayer, cache: ConvCache) -> int:
     return p
 
 
-def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray, *, need_grad_in: bool = True):
-    """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b).
-
-    With ``need_grad_in=False`` the grad_in product is skipped and grad_in is
-    None; grad_w and grad_b are the same bits either way. A cascade's first
-    layer uses this, because the starting image takes no gradient.
-    """
+def conv_backward(layer: ConvLayer, cache: ConvCache, grad_out: np.ndarray):
+    """Exact gradients of conv_forward: returns (grad_in, grad_w, grad_b)."""
     p = _check_cache(layer, cache)
     _, h, w = cache.x.shape
     if grad_out.shape != (layer.n_out, h, w):
         raise InvalidShapeError(
             f"grad_out must be [{layer.n_out}, {h}, {w}], got {grad_out.shape}"
         )
-    grad_in, grad_w, grad_b = conv_backward_padded(layer, cache, pad_flat(grad_out, p), need_grad_in=need_grad_in)
-    return None if grad_in is None else interior(grad_in, p), grad_w, grad_b
+    grad_in, grad_w, grad_b = conv_backward_padded(layer, cache, pad_flat(grad_out, p))
+    return interior(grad_in, p), grad_w, grad_b
 
 
 def conv_backward_padded(layer: ConvLayer, cache: ConvCache, gp: np.ndarray, *, need_grad_in: bool = True):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidShapeError
-from .fourier import KSpace, dft_matrix
+from .fourier import dft_matrix
 from .tensorcore import ComplexImage, Rng
 
 
@@ -152,7 +152,7 @@ def generate_mask(rng: Rng, height: int, width: int, acceleration: float, n_low:
 class Measurements:
     """Acquired k-space: coefficients on the sampled set, exact zeros off it."""
 
-    kspace: KSpace
+    kspace: ComplexImage
     mask: SamplingMask
 
     def __post_init__(self):
@@ -177,7 +177,7 @@ def apply_encoding(img: ComplexImage, mask: SamplingMask) -> Measurements:
     y = (dft_matrix(h, -1)[s] @ img.to_complex() @ dft_matrix(w, -1)) / math.sqrt(h * w)
     k = np.zeros_like(img.channels)
     k[0, s], k[1, s] = y.real, y.imag
-    return Measurements(kspace=KSpace(k), mask=mask)
+    return Measurements(kspace=ComplexImage(k), mask=mask)
 
 
 def zero_filled(meas: Measurements) -> ComplexImage:

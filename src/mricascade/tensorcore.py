@@ -33,6 +33,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, index: int) -> "Rng":

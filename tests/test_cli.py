@@ -26,6 +26,7 @@ from mricascade import (
 )
 from mricascade import cli
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
+from mricascade.gradcheck import THRESHOLDS, run_gradcheck
 from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor, write_tensor
 
 
@@ -484,6 +485,24 @@ class TestInputErrors:
         assert "k=41" in assert_input_error(main(argv + mask_flags), capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "gradcheck", "reconstruct", "evaluate"])
+    def test_negative_seed_is_input_error_and_writes_nothing(self, dataset, tmp_path, capsys, command):
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--n", "3", "--size", "8", "--seed", "-1", "--out", str(out)],
+            "train": ["train", "--data", str(dataset), "--nc", "1", "--nd", "2", "--nf", "2",
+                      "--epochs", "1", "--seed", "-1", "--out", str(out / "m.csc1")],
+            "gradcheck": ["gradcheck", "--seed", "-1"],
+            "reconstruct": ["reconstruct", "--checkpoint", str(ckpt), "--image",
+                            str(read_manifest(dataset)[0][0]), "--mask-seed", "-1", "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--mask-seed", "-1",
+                         "--out-report", str(out / "report.csv"), "--emit-error-maps", str(out / "maps")],
+        }[command]
+        assert "seed must be >= 0, got -1" in assert_input_error(main(argv), capsys)
+        assert not out.exists()
+
     def test_non_finite_checkpoint_is_input_error(self, dataset, tmp_path, capsys):
         model = build_model(Rng(0), 1, 2, 2)
         model.stages[0].layers[0].bias[1] = np.nan
@@ -596,10 +615,26 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
 
-    def test_corrupted_dclayer_detected(self, capsys):
-        assert main(["gradcheck", "--corrupt", "dclayer"]) == 1
+    @pytest.mark.parametrize("component", list(THRESHOLDS))
+    def test_corrupted_component_detected(self, component, capsys):
+        assert main(["gradcheck"]) == 0
+        clean = capsys.readouterr().out.splitlines()
+        assert main(["gradcheck", "--corrupt", component]) == 1
         captured = capsys.readouterr()
-        assert "dclayer" in captured.err
+        assert captured.err.splitlines() == [f"gradient check FAILED: {component}"]
+        lines = captured.out.splitlines()
+        assert len(lines) == len(clean) == len(THRESHOLDS)
+        for line, clean_line in zip(lines, clean):
+            if line.split()[0] == component:
+                assert line.endswith("FAIL"), line
+            else:
+                assert line == clean_line
+
+    def test_unknown_corrupt_is_input_error(self, capsys):
+        assert "'bogus'" in assert_input_error(main(["gradcheck", "--corrupt", "bogus"]), capsys)
+
+    def test_results_follow_threshold_order(self):
+        assert [r.component for r in run_gradcheck()] == list(THRESHOLDS)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_consistent_across_seeds(self, seed, capsys):

@@ -18,7 +18,6 @@ from mricascade import (
     generate_mask,
     zero_filled,
 )
-from mricascade.fourier import KSpace
 from mricascade.gradcheck import check_dclayer
 from oracles import (
     complex_dc_backward,
@@ -40,7 +39,7 @@ def make_cfg(seed=0, lam=math.inf, h=8, w=8, acceleration=2.0, n_low=2):
 
 def empty_cfg(lam=math.inf, h=8, w=8):
     mask = SamplingMask(h, w, np.zeros(h, dtype=bool))
-    meas = Measurements(kspace=KSpace.zeros(h, w, dtype=np.float64), mask=mask)
+    meas = Measurements(kspace=ComplexImage.zeros(h, w, dtype=np.float64), mask=mask)
     return DcConfig(measured=meas, lam=lam)
 
 

@@ -14,7 +14,6 @@ from mricascade import (
     ifft2,
     zero_filled,
 )
-from mricascade.fourier import KSpace
 from mricascade.phantom import PhantomSpec, make_phantom
 from mricascade.sampling import low_frequency_lines
 from mricascade.training import mse_loss
@@ -148,7 +147,7 @@ class TestSampledRowsMatchFullDft:
         expect_k = np.where(on, fft2(img).channels, 0)
         meas = apply_encoding(img, mask)
         x_u = zero_filled(meas)
-        expect_x = ifft2(KSpace(expect_k)).channels
+        expect_x = ifft2(ComplexImage(expect_k)).channels
         for got, expect in ((meas.kspace.channels, expect_k), (x_u.channels, expect_x)):
             assert got.dtype == dtype
             assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
@@ -181,7 +180,7 @@ class TestZeroFilled:
 
     def test_all_false_mask_gives_zero_image(self):
         mask = SamplingMask(8, 8, np.zeros(8, dtype=bool))
-        meas = Measurements(kspace=KSpace.zeros(8, 8, dtype=np.float64), mask=mask)
+        meas = Measurements(kspace=ComplexImage.zeros(8, 8, dtype=np.float64), mask=mask)
         assert np.all(zero_filled(meas).channels == 0.0)
 
     def test_undersampled_phantom_has_positive_error(self):

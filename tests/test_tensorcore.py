@@ -83,6 +83,10 @@ class TestRng:
         assert a.seed != b.seed
         assert Rng(123).child(0).seed == a.seed
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            Rng(-1)
+
 
 class TestCxt1Format:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
