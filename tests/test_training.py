@@ -100,6 +100,23 @@ class TestAdamStep:
 
         assert np.array_equal(run(), run())
 
+    def test_matches_textbook_adam(self):
+        # L2 decay 1e-7 folded into g before the moments, beta1 0.9,
+        # beta2 0.999, eps 1e-8, in the operation order of adam_step
+        rng = Rng(11)
+        p = rng.gen.standard_normal(6)
+        g = rng.gen.standard_normal(6)
+        ref, m, v = p.copy(), np.zeros(6), np.zeros(6)
+        state = init_adam_state([p])
+        cfg = TrainConfig(alpha=1e-3)
+        for t in range(1, 6):
+            adam_step([p], [g], state, cfg)
+            gt = g + 1e-7 * ref
+            m = 0.9 * m + (1.0 - 0.9) * gt
+            v = 0.999 * v + (1.0 - 0.999) * np.square(gt)
+            ref = ref - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(p, ref), t
+
     def test_weight_decay_pulls_magnitude_down(self):
         # zero data gradient: the decay term alone shrinks parameters
         p = np.array([1.0, -0.8])
