@@ -29,7 +29,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .gradcheck import run_gradcheck
-from .phantom import PhantomSpec, make_dataset, split_indices
+from .phantom import make_dataset, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng, load_image, load_tensor, save_image, save_tensor
 from .training import TrainConfig, init_adam_state, mse_loss, ordered_map, train_epoch, worker_count
@@ -138,7 +138,7 @@ def cmd_generate(args) -> int:
         raise InvalidParameterError("--size must be even and >= 4")
     train_idx, test_idx = split_indices(args.n, args.train_fraction)
     # phantoms first: a seed make_dataset rejects leaves no output directory
-    images = make_dataset(args.n, PhantomSpec(height=args.size, width=args.size), seed=args.seed)
+    images = make_dataset(args.n, args.size, args.size, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     split_of = {i: "train" for i in train_idx}
@@ -248,7 +248,7 @@ def cmd_reconstruct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_image(out / "x_u.cxt", x_u)
     save_image(out / "x_cnn.cxt", x_cnn)
-    save_tensor(out / "mask.cxt", mask.to_tensor(np.float32))
+    save_tensor(out / "mask.cxt", mask.to_tensor())
     print(f"reconstruction took {elapsed_ms:.2f} ms")
     return 0
 

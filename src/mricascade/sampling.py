@@ -69,9 +69,9 @@ class SamplingMask:
             self._operators[key] = m.astype(key, copy=False)
         return self._operators[key]
 
-    def to_tensor(self, dtype=np.float32) -> np.ndarray:
-        """0/1 vector of length H, the serialized form of the mask."""
-        return self.phase_lines.astype(dtype)
+    def to_tensor(self) -> np.ndarray:
+        """0/1 float32 vector of length H, the serialized form of the mask."""
+        return self.phase_lines.astype(np.float32)
 
     @classmethod
     def from_tensor(cls, values: np.ndarray, width: int) -> "SamplingMask":

@@ -174,7 +174,7 @@ def test_criterion_3_dft_unitarity_and_oracle():
 
 def test_criterion_4_zeroed_network_identity():
     rng = mc.Rng(55)
-    truth = mc.make_phantom(mc.PhantomSpec(height=64, width=64, seed=8), dtype=np.float64)
+    truth = mc.make_phantom(64, 64, seed=8, dtype=np.float64)
     mask = mc.generate_mask(rng, 64, 64, 3.0, 8)
     meas = mc.apply_encoding(truth, mask)
     x_u = mc.zero_filled(meas)

@@ -201,10 +201,10 @@ class TestNoComplexRoundTripPerStage:
 
     def test_fresh_masks_make_one_build_each(self, operator_builds, tmp_path, capsys):
         from mricascade import TrainConfig, init_adam_state, train_epoch
-        from mricascade.phantom import PhantomSpec, make_dataset
+        from mricascade.phantom import make_dataset
 
         model = build_model(Rng(17), n_c=2, n_d=2, n_f=4)
-        images = make_dataset(5, PhantomSpec(height=16, width=16), seed=18)
+        images = make_dataset(5, 16, 16, seed=18)
         cfg = TrainConfig(batch_size=2, acceleration=3.0, n_low=4, augment=False, seed=0)
         train_epoch(model, images, cfg, Rng(19), init_adam_state(model.parameters()))
         assert operator_builds == [16] * 5
@@ -703,11 +703,11 @@ class TestCapacity:
         # so they see the same mask sequence; the trailing mean damps the
         # per-epoch mask noise.
         from mricascade import TrainConfig, init_adam_state, train_epoch
-        from mricascade.phantom import PhantomSpec, make_dataset
+        from mricascade.phantom import make_dataset
 
         trailing = {}
         for n_c in (1, 2):
-            images = make_dataset(4, PhantomSpec(height=32, width=32), seed=21)
+            images = make_dataset(4, 32, 32, seed=21)
             model = build_model(Rng(1).child(0), n_c=n_c, n_d=3, n_f=8)
             cfg = TrainConfig(batch_size=1, acceleration=6.0, n_low=4, augment=False, seed=0)
             state = init_adam_state(model.parameters())

@@ -104,7 +104,7 @@ class TestDcForward:
 
 class TestDcBackward:
     def test_finite_differences(self):
-        result = check_dclayer(seed=0, lam=2.0)
+        result = check_dclayer(seed=0)
         assert result.max_error < 1e-7
 
     def test_empty_mask_passes_gradient_through(self):
@@ -124,7 +124,7 @@ class TestDcBackward:
         # the backward result cannot depend on any forward input; verify the
         # finite-difference Jacobian matches at two different points
         for seed in (0, 123):
-            assert check_dclayer(seed=seed, lam=2.0).max_error < 1e-7
+            assert check_dclayer(seed=seed).max_error < 1e-7
 
 
 class TestDcProperties:

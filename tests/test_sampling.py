@@ -14,7 +14,7 @@ from mricascade import (
     ifft2,
     zero_filled,
 )
-from mricascade.phantom import PhantomSpec, make_phantom
+from mricascade.phantom import make_phantom
 from mricascade.sampling import low_frequency_lines
 from mricascade.training import mse_loss
 
@@ -87,7 +87,7 @@ class TestGenerateMask:
 
     def test_tensor_roundtrip(self):
         mask = generate_mask(Rng(2), 32, 32, 4.0, 4)
-        back = SamplingMask.from_tensor(mask.to_tensor(np.float32), width=32)
+        back = SamplingMask.from_tensor(mask.to_tensor(), width=32)
         assert np.array_equal(back.phase_lines, mask.phase_lines)
 
 
@@ -184,7 +184,7 @@ class TestZeroFilled:
         assert np.all(zero_filled(meas).channels == 0.0)
 
     def test_undersampled_phantom_has_positive_error(self):
-        truth = make_phantom(PhantomSpec(height=64, width=64, seed=3), dtype=np.float64)
+        truth = make_phantom(64, 64, seed=3, dtype=np.float64)
         mask = generate_mask(Rng(9), 64, 64, 3.0, 8)
         x_u = zero_filled(apply_encoding(truth, mask))
         assert mse_loss(x_u, truth)[0] > 0.0
