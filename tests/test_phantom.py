@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mricascade import InvalidParameterError, make_dataset, make_phantom, split_indices
+from mricascade.phantom import INTENSITY_RANGE
 
 from oracles import dct2_8x8_coefficients
 
@@ -22,6 +23,21 @@ class TestMakePhantom:
         img = make_phantom(32, 32, seed=5, dtype=np.float64)
         assert np.max(np.abs(img.channels[1])) > 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_nonzero_magnitude_is_at_least_the_intensity_floor(self, seed):
+        # every covered pixel sums at least one ellipse value drawn from
+        # INTENSITY_RANGE, so no pixel sits strictly between 0 and its floor
+        mag = make_phantom(32, 32, seed=seed, dtype=np.float64).magnitude()
+        assert np.count_nonzero(mag) > 0
+        assert float(np.min(mag[mag > 0])) >= INTENSITY_RANGE[0] - 1e-12
+
+    @pytest.mark.parametrize("height,width", [(12, 20), (20, 12)])
+    def test_shape_follows_arguments(self, height, width):
+        assert make_phantom(height, width, seed=0).channels.shape == (2, height, width)
+
+    def test_default_dtype_is_float32(self):
+        assert make_phantom(16, 16, seed=0).channels.dtype == np.float32
+
 
 class TestMakeDataset:
     def test_split_disjoint(self):
@@ -41,6 +57,13 @@ class TestMakeDataset:
         b = make_dataset(3, 16, 16, seed=9)
         for x, y in zip(a, b):
             assert np.array_equal(x.channels, y.channels)
+
+    def test_items_are_float32_phantoms_of_derived_seeds(self):
+        images = make_dataset(2, 16, 24, seed=4)
+        for image in images:
+            assert image.channels.dtype == np.float32
+            assert image.channels.shape == (2, 16, 24)
+        assert not np.array_equal(images[0].channels, make_phantom(16, 24, seed=4).channels)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):

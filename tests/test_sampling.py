@@ -90,6 +90,12 @@ class TestGenerateMask:
         back = SamplingMask.from_tensor(mask.to_tensor(), width=32)
         assert np.array_equal(back.phase_lines, mask.phase_lines)
 
+    def test_tensor_is_float32_zero_one(self):
+        mask = generate_mask(Rng(2), 32, 32, 4.0, 4)
+        tensor = mask.to_tensor()
+        assert tensor.dtype == np.float32 and tensor.shape == (32,)
+        assert np.array_equal(tensor, mask.phase_lines.astype(np.float64))
+
 
 class TestApplyEncoding:
     def test_full_mask_is_plain_fft(self):

@@ -150,6 +150,26 @@ class TestAdamStep:
         with pytest.raises(InvalidParameterError, match=name):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"batch_size": 0},
+            {"batch_size": -1},
+            {"acceleration": 0.5},
+            {"acceleration": float("nan")},
+            {"n_low": -1},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_run_settings_rejected(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(InvalidParameterError, match=name):
+            TrainConfig(**bad)
+
+    def test_smallest_valid_run_settings_accepted(self):
+        cfg = TrainConfig(batch_size=1, acceleration=1.0, n_low=0)
+        assert (cfg.batch_size, cfg.acceleration, cfg.n_low) == (1, 1.0, 0)
+
 
 class TestAugment:
     def test_identity_element(self):
