@@ -2,12 +2,13 @@
 evaluation, and the gradient-check harness.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error (a bad flag
-value, or any unreadable or malformed checkpoint, image, manifest, mask file
-or ``CASCADE_RECON_THREADS``; commands raise, and only :func:`main` reports it
-as one ``error:`` line), 3 training divergence. Every command is deterministic
-given its flags; ``CASCADE_RECON_THREADS`` sets the worker count of ``train``
-and ``evaluate``, which share one rule (``training.ordered_map``: the calling
-thread runs every workers-th item), and does not change the results.
+value, any unreadable or malformed checkpoint, image, manifest, mask file
+or ``CASCADE_RECON_THREADS``, or an input too large to allocate; commands
+raise, and only :func:`main` reports it as one ``error:`` line), 3 training
+divergence. Every command is deterministic given its flags;
+``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``,
+which share one rule (``training.ordered_map``: the calling thread runs every
+workers-th item), and does not change the results.
 """
 
 from __future__ import annotations
@@ -401,6 +402,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, CheckpointFormatError, InvalidParameterError, InvalidShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input too large to hold, such as --size 100000
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,12 +17,14 @@ Every correlation reads a padded-flat layout. An input [C, H, W] is held
 zero-padded by p = (k-1)/2 on every side, plus one more zero row, as a
 contiguous [C, H+2p+1, Wp] array with Wp = W + 2p, so its rows lie end to end.
 Tap (di, dj) is then one contiguous slice of H*Wp values starting at
-di*Wp + dj, so im2col is k*k slice copies and col2im k*k slice adds. The extra
-zero row keeps the last tap's slice in bounds. Each image row is followed by
-2p junk columns, which read the padding and the start of the next row. A
-correlation's output is a padded-flat buffer of the same shape, written from
-offset p*Wp + p on, so each output value lands where the next layer reads it
-and the junk columns land on the next layer's padding. Where junk would be
+di*Wp + dj. So the k*k taps of every channel form one read-only strided window
+[C, k, k, columns] over the flat rows, and im2col is one copy of that window per
+band of columns; col2im is k*k slice adds. The extra zero row keeps the last
+tap's slice in bounds. Each image row is followed by 2p junk columns, which
+read the padding and the start of the next row. A correlation's output is a
+padded-flat buffer of the same shape, written from offset p*Wp + p on, so each
+output value lands where the next layer reads it and the junk columns land on
+the next layer's padding. Where junk would be
 summed, in the weight gradient's GEMM over the spatial axis and in the
 products col2im scatters, the operand it meets is the slice of a padded-flat
 buffer from its first image value on: the image with 2p zero columns after
@@ -154,12 +156,16 @@ def _column_bands(xp: np.ndarray, k: int):
 
     cols is [C*k*k, b-a]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
     over flat output columns a..b of [H, Wp], each image row followed by 2p junk
-    columns. Every band is a view of one buffer that the next band overwrites.
+    columns. Every band is a view of one buffer that the next band overwrites,
+    filled by one copy from a read-only strided window of the flat rows: tap
+    (di, dj) of channel c starts di*Wp + dj values after the band's first
+    column, and the extra zero row keeps every read inside channel c's row.
     """
     c, hp, wp = xp.shape
     p = (k - 1) // 2
     n = (hp - 2 * p - 1) * wp
     xf = xp.reshape(c, -1)
+    s_c, s_q = xf.strides
     rows = c * k * k
     # at least 64 and a multiple of 64 columns: a forward GEMM, whose bands split
     # the output columns, then sums every output column in the order one GEMM
@@ -170,11 +176,10 @@ def _column_bands(xp: np.ndarray, k: int):
     buf = np.empty(rows * width, dtype=xp.dtype)
     for a in range(0, n, width):
         b = min(a + width, n)
-        cols = buf[: rows * (b - a)].reshape(c, k * k, b - a)
-        for di in range(k):
-            for dj in range(k):
-                s = a + di * wp + dj
-                cols[:, di * k + dj] = xf[:, s : s + b - a]
+        cols = buf[: rows * (b - a)].reshape(c, k, k, b - a)
+        cols[...] = np.lib.stride_tricks.as_strided(
+            xf[:, a:], shape=cols.shape, strides=(s_c, wp * s_q, s_q, s_q), writeable=False
+        )
         yield a, b, cols.reshape(rows, b - a)
 
 
@@ -182,12 +187,13 @@ def _dot_columns(lhs: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
     # lhs [R, H*Wp] times the transposed columns of xp: [R, C*k*k], summed band
     # by band. BLAS runs this GEMM faster with the operand of more rows on the
     # left, so columns of at least R rows go first and the sum is transposed
-    # once at the end; each entry sums the same products in the same order.
-    r, n_rows = lhs.shape[0], xp.shape[0] * k * k
-    cols_left = n_rows >= r
-    acc = np.zeros((n_rows, r) if cols_left else (r, n_rows), dtype=np.result_type(lhs, xp))
+    # once at the end; each entry sums the same products in the same order. The
+    # sum starts from the first band's product, so one band costs one GEMM.
+    cols_left = xp.shape[0] * k * k >= lhs.shape[0]
+    acc = None
     for a, b, cols in _column_bands(xp, k):
-        acc += cols @ lhs[:, a:b].T if cols_left else lhs[:, a:b] @ cols.T
+        prod = cols @ lhs[:, a:b].T if cols_left else lhs[:, a:b] @ cols.T
+        acc = prod if acc is None else np.add(acc, prod, out=acc)
     return acc.T if cols_left else acc
 
 

@@ -350,6 +350,30 @@ def unpadded_module_forward(module, x: np.ndarray, _keep_caches: bool = True):
     return h, caches
 
 
+# The band builder from before each band of columns was one copy from a
+# strided window: it fills a band with k*k slice copies, one per kernel tap.
+# Kept verbatim, with the band budget passed in, as the old-vs-new equivalence
+# reference for mricascade.layers._column_bands.
+
+
+def slice_loop_column_bands(xp: np.ndarray, k: int, band_bytes: int):
+    c, hp, wp = xp.shape
+    p = (k - 1) // 2
+    n = (hp - 2 * p - 1) * wp
+    xf = xp.reshape(c, -1)
+    rows = c * k * k
+    width = min(n, max(64, band_bytes // (rows * xp.itemsize) // 64 * 64))
+    buf = np.empty(rows * width, dtype=xp.dtype)
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        cols = buf[: rows * (b - a)].reshape(c, k * k, b - a)
+        for di in range(k):
+            for dj in range(k):
+                s = a + di * wp + dj
+                cols[:, di * k + dj] = xf[:, s : s + b - a]
+        yield a, b, cols.reshape(rows, b - a)
+
+
 # The backward pass of a cascade block from before its gradients stayed
 # padded-flat: every layer pads its output gradient, sums its weight gradient
 # band by band as lhs @ cols.T with the gradient's rows always on the left,

@@ -517,6 +517,22 @@ class TestInputErrors:
         assert "seed must be >= 0, got -1" in assert_input_error(main(argv), capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name", [("generate", "make_dataset"), ("gradcheck", "run_gradcheck")])
+    def test_oversized_input_is_input_error_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command, name):
+        # as numpy raises for --size 100000, without allocating it
+        def oversized(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000, 2)")
+
+        monkeypatch.setattr(cli, name, oversized)
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--n", "1", "--size", "100000", "--out", str(out)],
+            "gradcheck": ["gradcheck", "--size", "100000"],
+        }[command]
+        line = assert_input_error(main(argv), capsys)
+        assert line == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000, 2)"
+        assert not out.exists()
+
     def test_non_finite_checkpoint_is_input_error(self, dataset, tmp_path, capsys):
         model = build_model(Rng(0), 1, 2, 2)
         model.stages[0].layers[0].bias[1] = np.nan

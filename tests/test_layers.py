@@ -21,10 +21,12 @@ from mricascade import layers
 from mricascade.gradcheck import check_conv, check_relu, numeric_gradient, relative_error
 
 from oracles import (
+    _lhs_dot_columns,
     naive_conv2d,
     rowmajor_conv_backward,
     rowmajor_conv_forward,
     shifted_add_conv2d,
+    slice_loop_column_bands,
     windowed_conv_backward,
     windowed_conv_forward,
 )
@@ -408,6 +410,48 @@ class TestColumnBands:
 
         assert peak(lambda: conv_forward(layer, x)) < 8e6
         assert peak(lambda: conv_backward(layer, cache, grad_out)) < 10e6
+
+
+class TestStridedColumnBands:
+    """Each band is one copy from a read-only strided window. It holds the
+    columns the k*k slice loop it replaced built, bit for bit, in the same
+    bands, and the input is left as it was.
+
+    The input is random everywhere, its border included, so a window that
+    read one value off would show. At 21x23 the default budget splits the
+    16-channel 7x7 columns into several bands; a budget of 1 byte makes every
+    band the 64-column minimum.
+    """
+
+    H, W = 21, 23
+
+    @pytest.mark.parametrize("band_bytes", [layers._BAND_BYTES, 1], ids=["default", "1byte"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 16])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_matches_the_slice_loop(self, monkeypatch, k, c, dtype, band_bytes):
+        monkeypatch.setattr(layers, "_BAND_BYTES", band_bytes)
+        p = (k - 1) // 2
+        xp = Rng(10 * k + c).gen.standard_normal((c, self.H + 2 * p + 1, self.W + 2 * p)).astype(dtype)
+        before = xp.tobytes()
+        got = [(a, b, cols.copy()) for a, b, cols in layers._column_bands(xp, k)]
+        expect = [(a, b, cols.copy()) for a, b, cols in slice_loop_column_bands(xp, k, band_bytes)]
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expect]
+        if band_bytes == 1 or (c == 16 and k == 7):
+            assert len(got) > 1
+        for (_, _, g), (_, _, e) in zip(got, expect):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+        assert xp.tobytes() == before
+
+    @pytest.mark.parametrize("band_bytes", [layers._BAND_BYTES, 1], ids=["default", "1byte"])
+    @pytest.mark.parametrize("c, r", [(2, 16), (16, 2), (16, 16)])
+    def test_weight_gradient_sum_matches_a_zero_start(self, monkeypatch, c, r, band_bytes):
+        # one band at the default budget: the sum is that band's product alone
+        monkeypatch.setattr(layers, "_BAND_BYTES", band_bytes)
+        rng = Rng(c + r)
+        xp = layers.pad_flat(rng.gen.standard_normal((c, self.H, self.W)).astype(np.float32), 1)
+        lhs = rng.gen.standard_normal((r, self.H * (self.W + 2))).astype(np.float32)
+        assert np.array_equal(layers._dot_columns(lhs, xp, 3), _lhs_dot_columns(lhs, xp, 3))
 
 
 class TestRelu:
