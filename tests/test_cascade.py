@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -571,6 +572,23 @@ class TestCheckpoint:
         for a, b in zip(model.parameters(), back.parameters()):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (lambda: build_model(Rng(21), 3, 3, 16),
+             "83e3f98bd00618ed94f6ab59c26b17847fda94b2393b08adb79c6eece531f002"),
+            (lambda: build_model(Rng(22), 2, 3, 5, k=5, lam=7.5, dtype=np.float64),
+             "33b57dcd39a02dfa582c4b15c6939649d852e6728579816a0f3a6b8fadcdf673"),
+        ],
+        ids=["float32-3-3-16", "float64-2-3-5-k5-lam7.5"],
+    )
+    def test_output_bytes_pinned(self, tmp_path, model, digest):
+        # the CSC1 layout is a file format: a rewrite of the writer must
+        # reproduce these files byte for byte
+        path = tmp_path / "m.csc1"
+        save_checkpoint(model(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_finite_lambda_preserved(self, tmp_path):
         model = build_model(Rng(13), n_c=1, n_d=2, n_f=3, dtype=np.float64, lam=7.5)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -97,6 +98,15 @@ class TestCxt1Format:
         back = load_tensor(path)
         assert back.dtype == dtype
         assert np.array_equal(back, arr)
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # the CXT1 layout is a file format: a rewrite of the writer must
+        # reproduce this file byte for byte
+        path = tmp_path / "t.cxt"
+        save_tensor(path, Rng(23).gen.standard_normal((2, 3, 5)).astype(np.float32))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8f709347618ab7289b5208a76b660d65a3c86bc65e3243032f9b411cf8c219a2"
+        )
 
     def test_header_layout(self):
         buf = io.BytesIO()
