@@ -293,6 +293,7 @@ def cascade_backward(model: CascadeModel, cache: CascadeCache, grad_out: Complex
 # u32 n_c, n_d, n_f, k, u32 tensor count, then (u16 name length, name,
 # CXT1 blob) per tensor, named stage{s}.conv{i}.weight|bias in order.
 
+_CKPT_HEADER = struct.Struct("<4sBBd4II")
 _CKPT_MAGIC = b"CSC1"
 _CKPT_VERSION = 1
 
@@ -323,14 +324,13 @@ def save_checkpoint(model: CascadeModel, path) -> None:
         )
     if len({p.dtype for p in params}) > 1:
         raise InvalidParameterError("mixed tensor precisions: a CSC1 file holds one")
+    infinite = model.lam == math.inf
+    header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, infinite, 0.0 if infinite else model.lam,
+                               model.n_c, model.n_d, model.n_f, k, len(params))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(_CKPT_MAGIC)
-            f.write(struct.pack("<BB", _CKPT_VERSION, 1 if model.lam == math.inf else 0))
-            f.write(struct.pack("<d", 0.0 if model.lam == math.inf else model.lam))
-            f.write(struct.pack("<4I", model.n_c, model.n_d, model.n_f, model.k))
-            f.write(struct.pack("<I", len(params)))
+            f.write(header)
             for (_, record), arr in zip(_tensor_records(model.n_c, model.n_d), params, strict=True):
                 f.write(record)
                 write_tensor(f, arr)
@@ -353,16 +353,16 @@ def load_checkpoint(path) -> CascadeModel:
     ``stage{s}.conv{i}.weight|bias`` order. Malformed content raises
     CheckpointFormatError naming ``path``."""
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
+        raw = f.read(_CKPT_HEADER.size)
+        if raw[:4] != _CKPT_MAGIC:
             raise CheckpointFormatError(f"{path}: not a cascade checkpoint (bad magic)")
-        version, lam_mode = struct.unpack("<BB", _read_exact(f, 2, path))
+        if len(raw) != _CKPT_HEADER.size:
+            raise CheckpointFormatError(f"{path}: truncated checkpoint")
+        _, version, lam_mode, lam_value, n_c, n_d, n_f, k, count = _CKPT_HEADER.unpack(raw)
         if version != _CKPT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-        (lam_value,) = struct.unpack("<d", _read_exact(f, 8, path))
         if lam_mode not in (0, 1):
             raise CheckpointFormatError(f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})")
-        n_c, n_d, n_f, k = struct.unpack("<4I", _read_exact(f, 16, path))
-        (count,) = struct.unpack("<I", _read_exact(f, 4, path))
         if count != 2 * n_c * n_d:
             raise CheckpointFormatError(
                 f"{path}: inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})"

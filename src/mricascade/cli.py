@@ -61,8 +61,14 @@ def read_manifest(data_dir: Path):
 
 
 def _load_split(data_dir: Path, split: str):
-    items = [(p, s) for p, s in read_manifest(data_dir) if s == split]
-    return [p for p, _ in items], [load_image(p) for p, _ in items]
+    """The paths and images of one split of a dataset directory; no manifest
+    or an empty split raises InvalidParameterError."""
+    if not (data_dir / MANIFEST_NAME).is_file():
+        raise InvalidParameterError(f"no dataset manifest in {data_dir}")
+    paths = [p for p, s in read_manifest(data_dir) if s == split]
+    if not paths:
+        raise InvalidParameterError(f"split {split!r} is empty")
+    return paths, [load_image(p) for p in paths]
 
 
 def _quantize_unit(values: np.ndarray) -> np.ndarray:
@@ -159,12 +165,7 @@ def cmd_train(args) -> int:
         raise InvalidParameterError(f"epochs must be >= 0, got {args.epochs}")
     if args.checkpoint_every < 0:
         raise InvalidParameterError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
-    data_dir = Path(args.data)
-    if not (data_dir / MANIFEST_NAME).is_file():
-        raise InvalidParameterError(f"no dataset manifest in {data_dir}")
-    _, images = _load_split(data_dir, "train")
-    if not images:
-        raise InvalidParameterError("training split is empty")
+    _, images = _load_split(Path(args.data), "train")
 
     # the line budget and the kernel's fit depend on the image size: check
     # them before a model is built or anything is written, the masks on a
@@ -256,12 +257,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = cascade_mod.load_checkpoint(args.checkpoint)
-    data_dir = Path(args.data)
-    if not (data_dir / MANIFEST_NAME).is_file():
-        raise InvalidParameterError(f"no dataset manifest in {data_dir}")
-    paths, images = _load_split(data_dir, args.split)
-    if not images:
-        raise InvalidParameterError(f"split {args.split!r} is empty")
+    paths, images = _load_split(Path(args.data), args.split)
 
     masks = [
         _eval_mask(args.mask_seed, i, img, args.acceleration, args.n_low)

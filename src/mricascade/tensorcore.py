@@ -125,6 +125,7 @@ def complex_norm_sq(img: ComplexImage) -> float:
 # magic "CXT1", u8 precision code (4 = f32, 8 = f64), u8 rank,
 # rank x u32 little-endian dims, then row-major little-endian scalars.
 
+_HEAD = struct.Struct("<4sBB")
 _MAGIC = b"CXT1"
 _CODE_TO_DTYPE = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.float32: 4, np.float64: 8}
@@ -137,18 +138,17 @@ def write_tensor(f, arr: np.ndarray) -> None:
         raise InvalidParameterError(f"CXT1 stores float32/float64 only, got {arr.dtype}")
     if arr.ndim == 0 or arr.ndim > 255:
         raise InvalidShapeError(f"CXT1 rank must be in [1, 255], got {arr.ndim}")
-    f.write(_MAGIC)
-    f.write(struct.pack("<BB", code, arr.ndim))
+    f.write(_HEAD.pack(_MAGIC, code, arr.ndim))
     f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
     f.write(np.ascontiguousarray(arr, dtype=_CODE_TO_DTYPE[code]).tobytes())
 
 
 def read_tensor(f) -> np.ndarray:
     """Read one CXT1 tensor from a binary stream."""
-    head = f.read(6)
-    if len(head) != 6 or head[:4] != _MAGIC:
+    head = f.read(_HEAD.size)
+    if len(head) != _HEAD.size or head[:4] != _MAGIC:
         raise InvalidParameterError("not a CXT1 tensor (bad magic)")
-    code, rank = head[4], head[5]
+    _, code, rank = _HEAD.unpack(head)
     if code not in _CODE_TO_DTYPE:
         raise InvalidParameterError(f"unknown CXT1 precision code {code}")
     if rank == 0:
