@@ -44,6 +44,7 @@ from .errors import (
     InvalidParameterError,
     InvalidShapeError,
     InvalidStateError,
+    naming_file,
 )
 from .layers import (
     ConvCache,
@@ -341,10 +342,10 @@ def save_checkpoint(model: CascadeModel, path) -> None:
         raise
 
 
-def _read_exact(f, n: int, path) -> bytes:
+def _read_exact(f, n: int) -> bytes:
     raw = f.read(n)
     if len(raw) != n:
-        raise CheckpointFormatError(f"{path}: truncated checkpoint")
+        raise CheckpointFormatError("truncated checkpoint")
     return raw
 
 
@@ -352,49 +353,44 @@ def load_checkpoint(path) -> CascadeModel:
     """Read a CSC1 file through the builders' checks; the tensors must come in
     ``stage{s}.conv{i}.weight|bias`` order. Malformed content raises
     CheckpointFormatError naming ``path``."""
-    with open(path, "rb") as f:
+    with open(path, "rb") as f, naming_file(path, CheckpointFormatError):
         raw = f.read(_CKPT_HEADER.size)
         if raw[:4] != _CKPT_MAGIC:
-            raise CheckpointFormatError(f"{path}: not a cascade checkpoint (bad magic)")
+            raise CheckpointFormatError("not a cascade checkpoint (bad magic)")
         if len(raw) != _CKPT_HEADER.size:
-            raise CheckpointFormatError(f"{path}: truncated checkpoint")
+            raise CheckpointFormatError("truncated checkpoint")
         _, version, lam_mode, lam_value, n_c, n_d, n_f, k, count = _CKPT_HEADER.unpack(raw)
         if version != _CKPT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         if lam_mode not in (0, 1):
-            raise CheckpointFormatError(f"{path}: bad lambda header (mode={lam_mode}, value={lam_value})")
+            raise CheckpointFormatError(f"bad lambda header (mode={lam_mode}, value={lam_value})")
         if count != 2 * n_c * n_d:
-            raise CheckpointFormatError(
-                f"{path}: inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})"
-            )
+            raise CheckpointFormatError(f"inconsistent header (n_c={n_c}, n_d={n_d}, tensors={count})")
         # checked before _assemble plans n_c * n_d layers: a tensor takes at
         # least 12 bytes (u16 name length, CXT1 magic, code, rank, one dim)
         if 12 * count > os.fstat(f.fileno()).st_size - f.tell():
-            raise CheckpointFormatError(f"{path}: truncated checkpoint ({count} tensors in header)")
+            raise CheckpointFormatError(f"truncated checkpoint ({count} tensors in header)")
         records = _tensor_records(n_c, n_d)
 
         def read_next(shape) -> np.ndarray:
             name, record = next(records)
-            if _read_exact(f, len(record), path) != record:
-                raise CheckpointFormatError(f"{path}: expected tensor {name} next")
+            if _read_exact(f, len(record)) != record:
+                raise CheckpointFormatError(f"expected tensor {name} next")
             arr = read_tensor(f)
             if arr.shape != shape:
-                raise CheckpointFormatError(f"{path}: {name} has shape {arr.shape}, the header gives {shape}")
+                raise CheckpointFormatError(f"{name} has shape {arr.shape}, the header gives {shape}")
             if not np.isfinite(arr).all():
-                raise CheckpointFormatError(f"{path}: tensor {name} has non-finite values")
+                raise CheckpointFormatError(f"tensor {name} has non-finite values")
             return arr
 
         def make_layer(n_in: int, n_out: int) -> ConvLayer:
             return ConvLayer(read_next((n_out, n_in, k, k)), read_next((n_out,)))
 
-        try:
-            model = _assemble(n_c, n_d, n_f, k, math.inf if lam_mode == 1 else lam_value, make_layer)
-        except (InvalidParameterError, InvalidShapeError) as exc:
-            raise CheckpointFormatError(f"{path}: {exc}") from exc
+        model = _assemble(n_c, n_d, n_f, k, math.inf if lam_mode == 1 else lam_value, make_layer)
         if f.read(1):
-            raise CheckpointFormatError(f"{path}: trailing bytes after last tensor")
-    if len({p.dtype for p in model.parameters()}) > 1:
-        raise CheckpointFormatError(f"{path}: mixed tensor precisions")
+            raise CheckpointFormatError("trailing bytes after last tensor")
+        if len({p.dtype for p in model.parameters()}) > 1:
+            raise CheckpointFormatError("mixed tensor precisions")
     return model
 
 

@@ -23,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cascade as cascade_mod
-from .errors import (
-    CheckpointFormatError,
-    InvalidParameterError,
-    InvalidShapeError,
-    TrainingDivergedError,
-)
+from .errors import INPUT_ERRORS, InvalidParameterError, InvalidShapeError, TrainingDivergedError, naming_file
 from .gradcheck import run_gradcheck
 from .phantom import make_dataset, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
@@ -56,6 +51,8 @@ def read_manifest(data_dir: Path):
         if "," not in line:
             raise InvalidParameterError(f"{manifest}:{lineno}: expected 'name,split', got {line!r}")
         name, split = line.rsplit(",", 1)
+        if "\0" in name:
+            raise InvalidParameterError(f"{manifest}:{lineno}: file name holds a NUL byte, got {name!r}")
         entries.append((data_dir / name, split))
     return entries
 
@@ -225,9 +222,10 @@ def cmd_train(args) -> int:
 def _mask_for_args(args, img: ComplexImage) -> SamplingMask:
     if args.mask_file:
         values = load_tensor(args.mask_file)
-        if values.shape != (img.height,):
-            raise InvalidShapeError(f"mask file has shape {values.shape}, image needs ({img.height},)")
-        return SamplingMask.from_tensor(values, width=img.width)
+        with naming_file(args.mask_file):
+            if values.shape != (img.height,):
+                raise InvalidShapeError(f"mask file has shape {values.shape}, image needs ({img.height},)")
+            return SamplingMask.from_tensor(values, width=img.width)
     return generate_mask(Rng(args.mask_seed), img.height, img.width, args.acceleration, args.n_low)
 
 
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (OSError, CheckpointFormatError, InvalidParameterError, InvalidShapeError) as exc:
+    except (OSError, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class InvalidShapeError(ValueError):
     """An array argument has the wrong shape or dimensionality."""
@@ -15,6 +17,20 @@ class InvalidStateError(RuntimeError):
 
 class CheckpointFormatError(ValueError):
     """A checkpoint file is malformed or inconsistent with its header."""
+
+
+# what malformed input from outside the program raises
+INPUT_ERRORS = (InvalidShapeError, InvalidParameterError, CheckpointFormatError)
+
+
+@contextlib.contextmanager
+def naming_file(path, as_type=None):
+    """Re-raise an input error from the block as ``f"{path}: {exc}"``, of the
+    same type, or of ``as_type`` when one is given."""
+    try:
+        yield
+    except INPUT_ERRORS as exc:
+        raise (as_type or type(exc))(f"{path}: {exc}") from exc
 
 
 class TrainingDivergedError(RuntimeError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidShapeError
+from .errors import InvalidParameterError, InvalidShapeError, naming_file
 
 DEFAULT_DTYPE = np.float32
 
@@ -176,8 +176,13 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return read_tensor(f)
+    """Read a file that holds one CXT1 tensor and nothing after it; malformed
+    content raises an error naming ``path``."""
+    with open(path, "rb") as f, naming_file(path):
+        arr = read_tensor(f)
+        if f.read(1):
+            raise InvalidParameterError("trailing bytes after the tensor")
+    return arr
 
 
 def save_image(path, img: ComplexImage) -> None:
@@ -185,8 +190,11 @@ def save_image(path, img: ComplexImage) -> None:
 
 
 def load_image(path) -> ComplexImage:
-    """Read a ``[2, H, W]`` CXT1 image; NaN or inf raises InvalidParameterError."""
-    img = ComplexImage(load_tensor(path))
-    if not np.isfinite(img.channels).all():
-        raise InvalidParameterError(f"{path}: image has non-finite values")
+    """Read a ``[2, H, W]`` CXT1 image; NaN or inf raises InvalidParameterError.
+    Every error names ``path``."""
+    channels = load_tensor(path)
+    with naming_file(path):
+        img = ComplexImage(channels)
+        if not np.isfinite(img.channels).all():
+            raise InvalidParameterError("image has non-finite values")
     return img

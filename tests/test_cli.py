@@ -74,6 +74,17 @@ class TestGenerate:
         assert main(["generate", "--n", "3", "--size", "16", "--seed", "5", "--out", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == expected
 
+    def test_manifest_skips_blank_and_comment_lines(self, tmp_path):
+        (tmp_path / "manifest.txt").write_text("# name,split\n\n  \na.cxt,train\n  # b.cxt,test\nc.cxt,test\n")
+        assert read_manifest(tmp_path) == [(tmp_path / "a.cxt", "train"), (tmp_path / "c.cxt", "test")]
+
+    @pytest.mark.parametrize("size", ["7", "2"])
+    def test_bad_size_is_usage_error_and_writes_nothing(self, tmp_path, capsys, size):
+        out = tmp_path / "D"
+        code = main(["generate", "--n", "1", "--size", size, "--out", str(out)])
+        assert "--size must be even and >= 4" in assert_input_error(code, capsys)
+        assert not out.exists()
+
     def test_zero_count_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--n", "0", "--out", str(tmp_path / "x")])
         assert "--n must be >= 1" in assert_input_error(code, capsys)
@@ -279,7 +290,7 @@ class TestReconstruct:
             ["reconstruct", "--checkpoint", str(ckpt), "--image", str(read_manifest(dataset)[0][0]),
              "--mask-file", str(mask_path), "--out", str(tmp_path / "recon")]
         )
-        assert_input_error(code, capsys)
+        assert assert_input_error(code, capsys).startswith(f"error: {mask_path}: ")
 
 
 class TestEvaluate:
@@ -430,20 +441,27 @@ class TestInputErrors:
         # 34-byte header and the name's u16 length), a first tensor whose
         # dims claim 2^31 x 2^31, a lambda-mode byte (offset 5) that is
         # neither 0 nor 1, a header with k=4 (offset 26) followed by the 4x4
-        # kernels it names, and a finite-lambda header (mode 0) whose f64
-        # value (offset 6) is 0, NaN or negative
+        # kernels it names, a finite-lambda header (mode 0) whose f64 value
+        # (offset 6) is 0, NaN or negative, a byte after the last tensor, and
+        # float32 tensors of the first layer with float64 ones of the second
         dims = raw.index(b"CXT1") + 6
-        even = io.BytesIO()
+        even, mixed = io.BytesIO(), io.BytesIO()
         even.write(raw[:26] + struct.pack("<I", 4) + raw[30:34])
-        for i in range(2):
-            for name, shape in ((f"stage0.conv{i}.weight", (2, 2, 4, 4)), (f"stage0.conv{i}.bias", (2,))):
-                even.write(struct.pack("<H", len(name)) + name.encode())
-                write_tensor(even, np.zeros(shape, dtype=np.float32))
+        mixed.write(raw[:34])
+        for i, layer in enumerate(load_checkpoint(path).stages[0].layers):
+            for name, arr in ((f"stage0.conv{i}.weight", layer.weights), (f"stage0.conv{i}.bias", layer.bias)):
+                record = struct.pack("<H", len(name)) + name.encode()
+                even.write(record)
+                write_tensor(even, np.zeros((2, 2, 4, 4) if arr.ndim == 4 else 2, np.float32))
+                mixed.write(record)
+                write_tensor(mixed, arr.astype(np.float64 if i else np.float32))
         cases = [raw[:n] for n in range(len(raw))] + [
             raw[:36] + b"\xff" + raw[37:],
             raw[:dims] + (2**31).to_bytes(4, "little") * 2 + raw[dims + 8:],
             raw[:5] + b"\x07" + raw[6:],
             even.getvalue(),
+            raw + b"\x00",
+            mixed.getvalue(),
         ] + [raw[:5] + b"\x00" + struct.pack("<d", lam) + raw[14:] for lam in (0.0, math.nan, -1.0)]
         bad = tmp_path / "bad.csc1"
         for blob in cases:
@@ -553,14 +571,18 @@ class TestInputErrors:
             (b"phantom.cxt,train\nphantom.cxt\n", "manifest.txt:2:"),
             (b"missing.cxt,train\nmissing.cxt,test\n", "missing.cxt"),
             (b"\xff\n", "manifest.txt"),
+            (b"phan\x00tom.cxt,train\nphan\x00tom.cxt,test\n", "manifest.txt:1:"),
+            (b"phantom.cxt,validation\n", "is empty"),
+            (None, "no dataset manifest"),
         ],
-        ids=["no-split", "missing-file", "not-utf8"],
+        ids=["no-split", "missing-file", "not-utf8", "nul-byte", "empty-split", "no-manifest"],
     )
     def test_bad_manifest_is_input_error(self, dataset, tmp_path, capsys, command, manifest, names):
         data = tmp_path / "data"
         data.mkdir()
         (data / "phantom.cxt").write_bytes(read_manifest(dataset)[0][0].read_bytes())
-        (data / "manifest.txt").write_bytes(manifest)
+        if manifest is not None:
+            (data / "manifest.txt").write_bytes(manifest)
         ckpt = tmp_path / "zero.csc1"
         save_checkpoint(zero_model(1, 2, 4), ckpt)
         if command == "train":
@@ -569,6 +591,36 @@ class TestInputErrors:
         else:
             argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]
         assert names in assert_input_error(main(argv), capsys)
+
+    @pytest.mark.parametrize("command", ["reconstruct", "mask-file", "evaluate", "train"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda raw: raw[:-1], lambda raw: raw[:4] + b"\x07" + raw[5:], lambda raw: raw + b"\x00"],
+        ids=["truncated", "precision-code-7", "trailing-byte"],
+    )
+    def test_malformed_cxt1_file_is_input_error_naming_it(self, dataset, tmp_path, capsys, command, corrupt):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "phantom.cxt").write_bytes(read_manifest(dataset)[0][0].read_bytes())
+        (data / "manifest.txt").write_text("phantom.cxt,train\nphantom.cxt,test\n")
+        save_tensor(data / "mask.cxt", generate_mask(Rng(8), 32, 32, 4.0, 4).to_tensor())
+        bad = data / ("mask.cxt" if command == "mask-file" else "phantom.cxt")
+        bad.write_bytes(corrupt(bad.read_bytes()))
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        out = tmp_path / "out"
+        reconstruct = ["reconstruct", "--checkpoint", str(ckpt), "--image", str(data / "phantom.cxt"),
+                       "--out", str(out)]
+        argv = {
+            "reconstruct": reconstruct,
+            "mask-file": reconstruct + ["--mask-file", str(data / "mask.cxt")],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out-report", str(out / "report.csv")],
+            "train": ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "4",
+                      "--epochs", "1", "--out", str(out / "m.csc1")],
+        }[command]
+        assert assert_input_error(main(argv), capsys).startswith(f"error: {bad}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["reconstruct", "evaluate", "train"])
     def test_empty_line_budget_is_input_error(self, dataset, tmp_path, capsys, command):

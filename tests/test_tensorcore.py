@@ -25,6 +25,15 @@ class TestComplexImage:
         with pytest.raises(InvalidShapeError):
             ComplexImage(np.zeros((2, h, w), dtype=np.float32))
 
+    def test_rejects_unsupported_dtype(self):
+        with pytest.raises(InvalidParameterError, match="unsupported dtype int32"):
+            ComplexImage(np.zeros((2, 4, 4), dtype=np.int32))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
+    def test_from_complex_rejects_non_2d(self, shape):
+        with pytest.raises(InvalidShapeError, match="expected a 2-d complex array"):
+            ComplexImage.from_complex(np.zeros(shape, dtype=complex))
+
     def test_complex_roundtrip(self):
         rng = Rng(0)
         z = rng.gen.standard_normal((6, 4)) + 1j * rng.gen.standard_normal((6, 4))
@@ -123,6 +132,27 @@ class TestCxt1Format:
         with pytest.raises(InvalidParameterError):
             read_tensor(io.BytesIO(b"NOPE\x04\x01\x01\x00\x00\x00" + b"\x00" * 4))
 
+    @pytest.mark.parametrize(
+        "blob, error, match",
+        [
+            (b"CXT1\x07\x01\x01\x00\x00\x00" + b"\x00" * 4, InvalidParameterError, "precision code 7"),
+            (b"CXT1\x04\x00" + b"\x00" * 4, InvalidShapeError, "rank must be >= 1"),
+            (b"CXT1\x04\x02\x02\x00\x00\x00\x00\x00\x00\x00" + b"\x00" * 8, InvalidShapeError, "dims must be >= 1"),
+        ],
+        ids=["code-7", "rank-0", "zero-dim"],
+    )
+    def test_malformed_head_rejected(self, blob, error, match):
+        with pytest.raises(error, match=match):
+            read_tensor(io.BytesIO(blob))
+
+    def test_trailing_bytes_rejected_naming_the_file(self, tmp_path):
+        # read_tensor reads one tensor off a stream; a file is one tensor whole
+        path = tmp_path / "t.cxt"
+        save_tensor(path, np.ones(4, dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(InvalidParameterError, match="t.cxt: trailing bytes"):
+            load_tensor(path)
+
     def test_truncated_payload_rejected(self):
         buf = io.BytesIO()
         write_tensor(buf, np.ones(4, dtype=np.float32))
@@ -138,3 +168,7 @@ class TestCxt1Format:
     def test_rejects_non_float(self):
         with pytest.raises(InvalidParameterError):
             write_tensor(io.BytesIO(), np.zeros(3, dtype=np.int32))
+
+    def test_rejects_rank_0(self):
+        with pytest.raises(InvalidShapeError, match="rank must be in"):
+            write_tensor(io.BytesIO(), np.float32(1.0).reshape(()))
