@@ -102,6 +102,20 @@ class TestConvForward:
         assert np.allclose(out[0], 1.5)
         assert np.allclose(out[1], -0.5)
 
+    @pytest.mark.parametrize(
+        "w_shape, b_shape, error, match",
+        [
+            ((2, 2, 3), (2,), InvalidShapeError, "weights must be"),
+            ((2, 2, 3, 5), (2,), InvalidShapeError, "weights must be"),
+            ((2, 2, 2, 2), (2,), InvalidParameterError, "kernel size must be odd"),
+            ((2, 2, 3, 3), (3,), InvalidShapeError, "bias must be"),
+        ],
+        ids=["rank-3", "non-square", "even-kernel", "bias-length"],
+    )
+    def test_malformed_layer_rejected(self, w_shape, b_shape, error, match):
+        with pytest.raises(error, match=match):
+            ConvLayer(np.zeros(w_shape), np.zeros(b_shape))
+
     def test_channel_mismatch_rejected(self):
         layer = he_init(Rng(0), 2, 3, 3)
         with pytest.raises(InvalidShapeError):
@@ -467,6 +481,11 @@ class TestRelu:
 
     def test_finite_difference_away_from_kink(self):
         assert check_relu(seed=0).max_error < 1e-8
+
+    def test_backward_rejects_a_gradient_of_another_shape(self):
+        _, cache = relu_forward(np.ones((2, 3)))
+        with pytest.raises(InvalidShapeError, match=r"grad_out shape \(3, 2\)"):
+            relu_backward(cache, np.ones((3, 2)))
 
 
 class TestResidualAdd:

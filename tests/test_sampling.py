@@ -85,6 +85,19 @@ class TestGenerateMask:
         assert mask.width == 48
         assert mask.phase_lines.shape == (32,)
 
+    @pytest.mark.parametrize("height", [15, 0])
+    def test_rejects_odd_or_empty_height(self, height):
+        with pytest.raises(InvalidParameterError, match="height must be even and >= 2"):
+            generate_mask(Rng(0), height, 16, acceleration=3.0, n_low=0)
+
+    def test_phase_lines_of_another_length_rejected(self):
+        with pytest.raises(InvalidShapeError, match=r"phase_lines must have shape \(8,\), got \(6,\)"):
+            SamplingMask(8, 8, np.ones(6, dtype=bool))
+
+    def test_tensor_of_rank_2_rejected(self):
+        with pytest.raises(InvalidShapeError, match="mask tensor must be 1-d"):
+            SamplingMask.from_tensor(np.ones((8, 1), dtype=np.float32), width=8)
+
     def test_tensor_roundtrip(self):
         mask = generate_mask(Rng(2), 32, 32, 4.0, 4)
         back = SamplingMask.from_tensor(mask.to_tensor(), width=32)
@@ -170,6 +183,11 @@ class TestSampledRowsMatchFullDft:
 
 
 class TestMeasurements:
+    def test_rejects_kspace_of_another_size(self):
+        mask = SamplingMask(8, 8, np.ones(8, dtype=bool))
+        with pytest.raises(InvalidShapeError, match="kspace is 16x16 but mask is 8x8"):
+            Measurements(kspace=fft2(random_image(4, 16, 16)), mask=mask)
+
     def test_rejects_nonzero_off_support(self):
         img = random_image(4, 8, 8)
         mask = SamplingMask(8, 8, np.zeros(8, dtype=bool))

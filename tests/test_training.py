@@ -133,6 +133,13 @@ class TestAdamStep:
         with pytest.raises(InvalidShapeError):
             adam_step([p], [np.zeros(4)], state, self.cfg())
 
+    @pytest.mark.parametrize("n_grads, n_state", [(1, 2), (2, 1)], ids=["grads", "state"])
+    def test_lists_of_different_lengths_rejected(self, n_grads, n_state):
+        params = [np.zeros(3), np.zeros(3)]
+        state = init_adam_state(params[:n_state])
+        with pytest.raises(InvalidShapeError, match="misaligned"):
+            adam_step(params, [np.zeros(3)] * n_grads, state, self.cfg())
+
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             TrainConfig(alpha=0.0)
@@ -191,6 +198,25 @@ class TestAugment:
                 for shift in [(0, 0), (3, -2), (-4, 4)]:
                     out = apply_rigid(img, rot, flip, shift)
                     assert complex_norm_sq(out) == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("quarter_turns", [1, 3])
+    def test_odd_quarter_turn_of_non_square_rejected(self, quarter_turns):
+        img = ComplexImage(Rng(2).gen.standard_normal((2, 8, 12)))
+        with pytest.raises(InvalidParameterError, match="require square images"):
+            apply_rigid(img, quarter_turns, False, (0, 0))
+
+    def test_non_square_draws_only_half_turns(self, monkeypatch):
+        turns = []
+
+        def spy(img, quarter_turns, hflip, shift):
+            turns.append(quarter_turns)
+            return apply_rigid(img, quarter_turns, hflip, shift)
+
+        monkeypatch.setattr(training, "apply_rigid", spy)
+        img = ComplexImage(Rng(3).gen.standard_normal((2, 8, 12)))
+        rng = Rng(9)
+        assert all(augment(rng, img).channels.shape == (2, 8, 12) for _ in range(40))
+        assert set(turns) == {0, 2}
 
     def test_draws_are_deterministic(self):
         img = ComplexImage(Rng(3).gen.standard_normal((2, 8, 8)))
