@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`naming_file`, which
+puts a file's name on the input errors raised while reading it."""
 
 import contextlib
 

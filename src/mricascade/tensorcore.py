@@ -93,7 +93,7 @@ class ComplexImage:
         return self.channels.dtype
 
     def to_complex(self) -> np.ndarray:
-        """View as an H x W complex128 array."""
+        """A new H x W complex128 array of the two channels (a copy, not a view)."""
         return self.channels[0].astype(np.float64) + 1j * self.channels[1].astype(np.float64)
 
     @classmethod
