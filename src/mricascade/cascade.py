@@ -219,10 +219,15 @@ def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_g
 
 @dataclass(eq=False)
 class CascadeCache:
+    """What :func:`cascade_backward` reads of one forward pass: the block
+    caches of each stage, the sample's DC constants, and the model that made
+    it. A cache belongs to that model alone; its block caches hold that
+    model's layer inputs, so no other model, even one of the same shapes,
+    can take it."""
+
     stage_caches: list
     cfg: DcConfig
-    out_shape: tuple
-    layer_shapes: list  # weight shapes, for stale-cache detection
+    model: CascadeModel
 
 
 def cascade_forward(model: CascadeModel, meas: Measurements, *, _keep_caches: bool = True):
@@ -246,25 +251,20 @@ def cascade_forward(model: CascadeModel, meas: Measurements, *, _keep_caches: bo
         x = dc_forward(r, cfg)
         if _keep_caches:
             stage_caches.append(caches)
-    cache = CascadeCache(
-        stage_caches=stage_caches,
-        cfg=cfg,
-        out_shape=x.channels.shape,
-        layer_shapes=[layer.weights.shape for s in model.stages for layer in s.layers],
-    )
-    return x, cache
+    return x, CascadeCache(stage_caches, cfg, model)
 
 
 def cascade_backward(model: CascadeModel, cache: CascadeCache, grad_out: ComplexImage) -> list:
     """Backpropagate through every stage; returns gradients aligned with
     ``model.parameters()`` (weights then bias, per layer, per stage)."""
-    if len(cache.stage_caches) != len(model.stages) or cache.layer_shapes != [
-        layer.weights.shape for s in model.stages for layer in s.layers
-    ]:
-        raise InvalidStateError("cache does not match this model (stale or mismatched)")
-    if grad_out.channels.shape != cache.out_shape:
+    if cache.model is not model:
+        raise InvalidStateError("cache was made by another model")
+    if not cache.stage_caches:
+        raise InvalidStateError("cache holds no stage caches (made with _keep_caches=False)")
+    out_shape = (2, cache.cfg.mask.height, cache.cfg.mask.width)
+    if grad_out.channels.shape != out_shape:
         raise InvalidStateError(
-            f"grad_out shape {grad_out.channels.shape} does not match forward output {cache.out_shape}"
+            f"grad_out shape {grad_out.channels.shape} does not match forward output {out_shape}"
         )
 
     per_stage = [None] * len(model.stages)

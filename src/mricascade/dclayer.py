@@ -21,8 +21,9 @@ for ``F_S^H``, so
     dc(x) = x - w * M^T (M x) + w * x_u
 
 is two thin real matrix products in the image's precision. The slices of a
-volume share a mask, and so share one build of ``M``; ``w * x_u`` is cast
-once per :class:`DcConfig`.
+volume share a mask, and so share one build of ``M``; each
+:class:`DcConfig` holds one ``w * x_u``, in the precision of its zero-fill,
+which callers encode in the model's precision.
 
 The layer has no trainable parameters. Its Jacobian with respect to the input
 is the linear part ``I - w * M^T M``, which is symmetric, so the backward
@@ -80,17 +81,11 @@ class DcConfig:
         return zero_filled(self.measured)
 
     @cached_property
-    def _measured_parts(self) -> dict:
-        return {}
-
-    def _measured_part(self, dtype) -> np.ndarray:
-        """``w * x_u`` as a ``[2H, W]`` array in ``dtype``, computed in float64
-        on first use per dtype and kept."""
-        key = np.dtype(dtype)
-        if key not in self._measured_parts:
-            x_u = self.zero_fill.channels.astype(np.float64).reshape(2 * self.mask.height, self.mask.width)
-            self._measured_parts[key] = (self.weight * x_u).astype(key, copy=False)
-        return self._measured_parts[key]
+    def _measured_part(self) -> np.ndarray:
+        """``w * x_u`` as a ``[2H, W]`` array in the zero-fill's precision,
+        multiplied in float64 on first read."""
+        x_u = self.zero_fill.channels.reshape(2 * self.mask.height, self.mask.width)
+        return (self.weight * x_u.astype(np.float64)).astype(x_u.dtype, copy=False)
 
 
 def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
@@ -107,7 +102,8 @@ def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
 
 def dc_forward(x: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Blend the k-space of x with the measurements on the sampled set."""
-    out = _linear_part(x, cfg) + cfg._measured_part(x.dtype)
+    out = _linear_part(x, cfg)
+    out += cfg._measured_part
     return ComplexImage(out.reshape(x.channels.shape))
 
 

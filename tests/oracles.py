@@ -466,6 +466,21 @@ def complex_dc_backward(grad_out, cfg):
     return ComplexImage.from_complex(complex_jacobian(grad_out, cfg), dtype=grad_out.dtype)
 
 
+# dclayer.dc_forward from when DcConfig kept one weighted zero-fill per
+# precision: the zero-fill widened to float64, scaled by w, cast to x's dtype,
+# and added to the linear part in a new array. Kept as the old-vs-new
+# equivalence reference for DcConfig._measured_part.
+
+
+def per_dtype_dc_forward(x, cfg):
+    h, w = cfg.mask.height, cfg.mask.width
+    x_u = cfg.zero_fill.channels.astype(np.float64).reshape(2 * h, w)
+    measured_part = (cfg.weight * x_u).astype(x.dtype, copy=False)
+    xs = x.channels.reshape(2 * h, w)
+    m = cfg.mask.operator(x.dtype)
+    return ComplexImage((xs - cfg.weight * (m.T @ (m @ xs)) + measured_part).reshape(x.channels.shape))
+
+
 # The CSC1 loader from before checkpoints were built through
 # mricascade.cascade._assemble: it reads every tensor into a dict keyed by
 # name, then looks the layers up by name in a channel plan of its own. It

@@ -530,6 +530,35 @@ class TestCascadeBackward:
         with pytest.raises(InvalidStateError):
             cascade_backward(model, cache, ComplexImage.zeros(8, 8, dtype=np.float64))
 
+    def test_cache_of_a_same_shaped_model_rejected(self):
+        # the cache holds model_a's layer inputs: model_b would take them for
+        # its own and return gradients of the wrong weights
+        truth, meas, _ = problem(9)
+        model_a, model_b = (build_model(Rng(s), n_c=2, n_d=3, n_f=4, dtype=np.float64) for s in (12, 13))
+        out, cache = cascade_forward(model_a, meas)
+        _, grad = mse_loss(out, truth)
+        with pytest.raises(InvalidStateError, match="another model"):
+            cascade_backward(model_b, cache, grad)
+        assert len(cascade_backward(model_a, cache, grad)) == len(model_a.parameters())
+
+    def test_inference_cache_rejected(self):
+        _, meas, _ = problem(10)
+        model = build_model(Rng(14), n_c=1, n_d=2, n_f=4, dtype=np.float64)
+        _, cache = cascade_forward(model, meas, _keep_caches=False)
+        with pytest.raises(InvalidStateError, match="no stage caches"):
+            cascade_backward(model, cache, ComplexImage.zeros(16, 16, dtype=np.float64))
+
+    @pytest.mark.parametrize("layer, shape", [(0, (4, 2, 5, 5)), (1, (8, 4, 3, 3)), (2, (2, 8, 3, 3))],
+                             ids=["kernel", "n_out", "n_in"])
+    def test_layer_swapped_for_another_shape_raises(self, layer, shape):
+        truth, meas, _ = problem(11)
+        model = build_model(Rng(15), n_c=2, n_d=3, n_f=4, dtype=np.float64)
+        out, cache = cascade_forward(model, meas)
+        _, grad = mse_loss(out, truth)
+        model.stages[1].layers[layer] = ConvLayer(np.zeros(shape), np.zeros(shape[0]))
+        with pytest.raises(InvalidShapeError):
+            cascade_backward(model, cache, grad)
+
 
 class TestModelBuilders:
     @pytest.mark.parametrize(
