@@ -3,8 +3,10 @@ evaluation, and the gradient-check harness.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error (a bad flag
 value, any unreadable or malformed checkpoint, image, manifest, mask file
-or ``CASCADE_RECON_THREADS``, or an input too large to allocate; commands
-raise, and only :func:`main` reports it as one ``error:`` line), 3 training
+or ``CASCADE_RECON_THREADS``, an input too large to allocate, or a
+``reconstruct`` or ``evaluate`` run whose finite checkpoint and image
+overflow to a non-finite zero-fill or reconstruction; commands raise, and
+only :func:`main` reports it as one ``error:`` line), 3 training
 divergence. Every command is deterministic given its flags;
 ``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``,
 which share one rule (``training.ordered_map``: the calling thread runs every
@@ -189,7 +191,6 @@ def cmd_train(args) -> int:
         acceleration=args.acceleration,
         n_low=args.n_low,
         augment=not args.no_augment,
-        seed=args.seed,
     )
     train_rng = rng.child(1)
     state = init_adam_state(model.parameters())
@@ -230,12 +231,27 @@ def _mask_for_args(args, img: ComplexImage) -> SamplingMask:
 
 
 def _timed_reconstruct(model, img: ComplexImage, mask: SamplingMask):
-    """Encode, then time the cascade alone: (zero-filled, recon, ms)."""
-    meas = apply_encoding(img.astype(model.dtype), mask)
-    t0 = time.perf_counter()
-    x_cnn, cache = cascade_mod.cascade_forward(model, meas, _keep_caches=False)
-    ms = (time.perf_counter() - t0) * 1e3
+    """Encode, then time the cascade alone: (zero-filled, recon, ms).
+
+    Overflow is reported once, by :func:`_check_finite`, so numpy's overflow
+    and invalid-value warnings are silenced here. numpy's error state is
+    local to a thread, so it is set inside the task each worker runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        meas = apply_encoding(img.astype(model.dtype), mask)
+        t0 = time.perf_counter()
+        x_cnn, cache = cascade_mod.cascade_forward(model, meas, _keep_caches=False)
+        ms = (time.perf_counter() - t0) * 1e3
     return cache.cfg.zero_fill, x_cnn, ms
+
+
+def _check_finite(checkpoint, image, x_u: ComplexImage, x_cnn: ComplexImage) -> None:
+    """Reject a run that overflowed: finite weights and pixels can still be
+    large enough to take the encoding or the cascade past the precision's
+    range, which leaves inf or NaN in the output."""
+    for name, im in (("zero-filled image", x_u), ("reconstruction", x_cnn)):
+        if not np.isfinite(im.channels).all():
+            raise InvalidParameterError(f"{checkpoint} on {image}: the {name} overflowed to non-finite values")
 
 
 def cmd_reconstruct(args) -> int:
@@ -243,6 +259,7 @@ def cmd_reconstruct(args) -> int:
     img = load_image(args.image)
     mask = _mask_for_args(args, img)
     x_u, x_cnn, elapsed_ms = _timed_reconstruct(model, img, mask)
+    _check_finite(args.checkpoint, args.image, x_u, x_cnn)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,6 +281,8 @@ def cmd_evaluate(args) -> int:
     # spread over CASCADE_RECON_THREADS, caller included; results keep input
     # order, so the report does not depend on the worker count
     results = ordered_map(lambda t: _timed_reconstruct(model, *t), list(zip(images, masks)))
+    for path, (x_u, x_cnn, _) in zip(paths, results):
+        _check_finite(args.checkpoint, path, x_u, x_cnn)
 
     report = EvalReport(
         model_id=Path(args.checkpoint).name,

@@ -6,8 +6,10 @@ dataset manifest are mutated one at a time (a single byte set to any value, a
 truncation, a 4-byte overwrite or appended bytes), and every command that
 reads the mutated file runs in-process through ``cli.main``. Each run must
 exit 0 or 2 (or 3, training divergence, for ``train``); an exit 2 prints
-exactly one ``error:`` line on stderr and writes no output file. A CSC1 or
-CXT1 file with bytes appended always exits 2.
+exactly one ``error:`` line on stderr and writes no output file, and an exit
+0 of ``reconstruct`` writes a finite zero-fill and reconstruction. A CSC1 or
+CXT1 file with bytes appended always exits 2. A mutated checkpoint or image
+either fails to load with a typed input error or loads to finite arrays.
 """
 
 import contextlib
@@ -20,9 +22,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mricascade import ComplexImage, Rng, build_model, generate_mask, save_checkpoint, tensorcore
+from mricascade import (
+    CheckpointFormatError,
+    ComplexImage,
+    InvalidParameterError,
+    InvalidShapeError,
+    Rng,
+    build_model,
+    generate_mask,
+    load_checkpoint,
+    save_checkpoint,
+    tensorcore,
+)
 from mricascade.cli import main
-from mricascade.tensorcore import save_image, save_tensor
+from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor
 
 CKPT, IMAGE, MASK, MANIFEST = "m.csc1", "img.cxt", "mask.cxt", "manifest.txt"
 KINDS = ("byte", "truncate", "overwrite4", "append")
@@ -74,13 +87,19 @@ def commands(d, name):
 
 
 def run(argv):
-    """(exit code, stderr lines) of one in-process run of the command line."""
+    """(exit code, stderr lines) of one in-process run of the command line.
+
+    The tests turn a numpy ``RuntimeWarning`` into an error, so a command
+    that warns fails the gate, except ``train``: a valid but huge mutated
+    weight, such as 1e20, can overflow Adam's squared gradient, which numpy
+    warns about and which is not an input error (training goes on, or
+    diverges with exit 3). ``reconstruct`` and ``evaluate`` report overflow
+    as one ``error:`` line instead.
+    """
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        # a mutated value can be valid but huge, such as a weight of 1e38:
-        # the run then overflows, which numpy warns about and which is not an
-        # input error (the outputs hold inf, or training diverges with exit 3)
-        warnings.simplefilter("ignore", RuntimeWarning)
+        if argv[0] == "train":
+            warnings.simplefilter("ignore", RuntimeWarning)
         try:
             code = main(argv)
         except Exception as exc:  # the console script would print a traceback
@@ -93,6 +112,8 @@ def check_gate(d, pristine, name, blob):
     run every command that reads it, and check each exit."""
     for other, raw in pristine.items():
         (d / other).write_bytes(blob if other == name else raw)
+    if name in (CKPT, IMAGE):
+        check_load(d / name)
     codes = {}
     for command, argv in commands(d, name).items():
         shutil.rmtree(d / "out", ignore_errors=True)
@@ -101,8 +122,23 @@ def check_gate(d, pristine, name, blob):
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error:"), (command, err)
             assert not [p for p in (d / "out").rglob("*") if p.is_file()], command
+        if code == 0 and command.startswith("reconstruct"):
+            for out in ("x_u.cxt", "x_cnn.cxt"):
+                assert np.isfinite(load_tensor(d / "out" / out)).all(), (command, out)
         codes[command] = code
     return codes
+
+
+def check_load(path):
+    """A checkpoint or image either raises a typed input error on load or
+    loads to finite arrays."""
+    try:
+        arrays = load_checkpoint(path).parameters() if path.name == CKPT else [load_image(path).channels]
+    except (CheckpointFormatError, InvalidParameterError, InvalidShapeError):
+        return
+    except Exception as exc:
+        pytest.fail(f"loading {path.name} raised {type(exc).__name__}: {exc}")
+    assert all(np.isfinite(a).all() for a in arrays), path.name
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +172,13 @@ def test_valid_inputs_exit_0(work, pristine):
         assert set(check_gate(work, pristine, name, pristine[name]).values()) == {0}
 
 
-def test_gate_fails_on_an_unmapped_loader_error(work, pristine, monkeypatch):
-    # negative control: a loader that raises a bare ValueError escapes main
+@pytest.mark.parametrize("name, where", [(IMAGE, "loading img.cxt"), (MANIFEST, "evaluate")], ids=["load", "command"])
+def test_gate_fails_on_an_unmapped_loader_error(work, pristine, monkeypatch, name, where):
+    # negative control: a loader that raises a bare ValueError fails the load
+    # check of a mutated image, and escapes main for a manifest's images
     def broken(path):
         raise ValueError("unmapped loader error")
 
     monkeypatch.setattr(tensorcore, "load_tensor", broken)
-    with pytest.raises(pytest.fail.Exception, match="raised ValueError: unmapped loader error"):
-        check_gate(work, pristine, IMAGE, pristine[IMAGE] + b"\x00" * 8)
+    with pytest.raises(pytest.fail.Exception, match=f"^{where} raised ValueError: unmapped loader error"):
+        check_gate(work, pristine, name, pristine[name])
