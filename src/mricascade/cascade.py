@@ -205,6 +205,8 @@ def module_backward(module: CnnModule, caches: list, grad: np.ndarray, *, need_g
     padded-flat buffer, zero outside its image, which the ReLU's backward and
     the next conv_backward_padded read whole.
     """
+    if len(caches) != len(module.layers):
+        raise InvalidStateError(f"cache holds {len(caches)} layer caches for {len(module.layers)} layers")
     p = (module.layers[0].kernel_size - 1) // 2
     g = pad_flat(grad, p)
     param_grads = [None] * len(module.layers)
@@ -259,8 +261,8 @@ def cascade_backward(model: CascadeModel, cache: CascadeCache, grad_out: Complex
     ``model.parameters()`` (weights then bias, per layer, per stage)."""
     if cache.model is not model:
         raise InvalidStateError("cache was made by another model")
-    if not cache.stage_caches:
-        raise InvalidStateError("cache holds no stage caches (made with _keep_caches=False)")
+    if len(cache.stage_caches) != len(model.stages):
+        raise InvalidStateError(f"cache holds {len(cache.stage_caches)} stage caches for {len(model.stages)} stages")
     out_shape = (2, cache.cfg.mask.height, cache.cfg.mask.width)
     if grad_out.channels.shape != out_shape:
         raise InvalidStateError(

@@ -22,8 +22,9 @@ for ``F_S^H``, so
 
 is two thin real matrix products in the image's precision. The slices of a
 volume share a mask, and so share one build of ``M``; each
-:class:`DcConfig` holds one ``w * x_u``, in the precision of its zero-fill,
-which callers encode in the model's precision.
+:class:`DcConfig` holds one ``w * x_u``, multiplied in float64, which
+:func:`dc_forward` rounds to the image's precision as it adds it, so one
+config serves an image of either precision.
 
 The layer has no trainable parameters. Its Jacobian with respect to the input
 is the linear part ``I - w * M^T M``, which is symmetric, so the backward
@@ -82,10 +83,9 @@ class DcConfig:
 
     @cached_property
     def _measured_part(self) -> np.ndarray:
-        """``w * x_u`` as a ``[2H, W]`` array in the zero-fill's precision,
-        multiplied in float64 on first read."""
+        """``w * x_u`` as a float64 ``[2H, W]`` array, computed on first read."""
         x_u = self.zero_fill.channels.reshape(2 * self.mask.height, self.mask.width)
-        return (self.weight * x_u.astype(np.float64)).astype(x_u.dtype, copy=False)
+        return self.weight * x_u.astype(np.float64)
 
 
 def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
@@ -103,7 +103,8 @@ def _linear_part(img: ComplexImage, cfg: DcConfig) -> np.ndarray:
 def dc_forward(x: ComplexImage, cfg: DcConfig) -> ComplexImage:
     """Blend the k-space of x with the measurements on the sampled set."""
     out = _linear_part(x, cfg)
-    out += cfg._measured_part
+    # dtype=: the product is rounded to x's precision before the add
+    np.add(out, cfg._measured_part, out=out, dtype=out.dtype)
     return ComplexImage(out.reshape(x.channels.shape))
 
 

@@ -545,8 +545,26 @@ class TestCascadeBackward:
         _, meas, _ = problem(10)
         model = build_model(Rng(14), n_c=1, n_d=2, n_f=4, dtype=np.float64)
         _, cache = cascade_forward(model, meas, _keep_caches=False)
-        with pytest.raises(InvalidStateError, match="no stage caches"):
+        with pytest.raises(InvalidStateError, match="0 stage caches for 1 stages"):
             cascade_backward(model, cache, ComplexImage.zeros(16, 16, dtype=np.float64))
+
+    @pytest.mark.parametrize("change", ["stage appended", "stage removed", "layer appended", "layer removed"])
+    def test_stage_or_layer_count_changed_rejected(self, change):
+        truth, meas, _ = problem(12)
+        model = build_model(Rng(16), n_c=2, n_d=3, n_f=4, dtype=np.float64)
+        out, cache = cascade_forward(model, meas)
+        _, grad = mse_loss(out, truth)
+        if change == "stage appended":
+            model.stages.append(model.stages[0])
+        elif change == "stage removed":
+            del model.stages[0]
+        elif change == "layer appended":
+            model.stages[1].layers.append(ConvLayer(np.zeros((2, 2, 3, 3)), np.zeros(2)))
+        else:
+            # the middle layer maps 4 channels to 4, so the shapes still chain
+            del model.stages[1].layers[1]
+        with pytest.raises(InvalidStateError, match=r"caches for [1-4] (stages|layers)"):
+            cascade_backward(model, cache, grad)
 
     @pytest.mark.parametrize("layer, shape", [(0, (4, 2, 5, 5)), (1, (8, 4, 3, 3)), (2, (2, 8, 3, 3))],
                              ids=["kernel", "n_out", "n_in"])
