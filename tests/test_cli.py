@@ -732,6 +732,30 @@ class TestReportArithmetic:
         assert abs(report.mean - sum(mse) / 7) < 1e-12
         assert abs(report.sd - math.sqrt(sum((v - report.mean) ** 2 for v in mse) / 7)) < 1e-12
 
+    def test_report_text_pinned(self):
+        # fixed numbers, so the pin does not depend on the BLAS or the cascade
+        report = EvalReport(
+            model_id="m.csc1", acceleration=4.0, image_ids=["phantom_000", "phantom_007", "phantom_011"],
+            mse=[1.25e-3, 3.5e-4, 2.0e-3], zero_filled_mse=[4.0e-3, 5.5e-3, 6.25e-3], recon_ms=[10.0, 12.5, 11.0],
+        )
+        assert report.csv_text() == (
+            "image_id,mse,zero_filled_mse\n"
+            "phantom_000,1.2500000000e-03,4.0000000000e-03\n"
+            "phantom_007,3.5000000000e-04,5.5000000000e-03\n"
+            "phantom_011,2.0000000000e-03,6.2500000000e-03\n"
+        )
+        assert report.table_text() == (
+            "model: m.csc1\n"
+            "acceleration: 4\n"
+            "image_id                            mse  zero_filled_mse\n"
+            "phantom_000                1.250000e-03     4.000000e-03\n"
+            "phantom_007                3.500000e-04     5.500000e-03\n"
+            "phantom_011                2.000000e-03     6.250000e-03\n"
+            "mean (SD): 1.200000e-03 (6.745369e-04)\n"
+            "zero-filled mean: 5.250000e-03\n"
+            "mean reconstruction time: 11.17 ms\n"
+        )
+
     def test_quantization_rule(self):
         vals = np.array([-0.1, 0.0, 0.5, 0.999, 1.0, 2.0])
         assert _quantize_unit(vals).tolist() == [0, 0, 128, 255, 255, 255]
