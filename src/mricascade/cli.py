@@ -83,54 +83,34 @@ def write_pgm(path, gray_u8: np.ndarray) -> None:
         f.write(gray_u8.tobytes())
 
 
-def _eval_mask(mask_seed: int, image_index: int, img: ComplexImage, acceleration: float, n_low: int) -> SamplingMask:
-    # fixed per-image mask: derived deterministically from seed + index
-    return generate_mask(
-        Rng(mask_seed).child(image_index), img.height, img.width, acceleration, n_low
-    )
-
-
 # --- evaluation report ------------------------------------------------------
 
 
 @dataclass
 class EvalReport:
+    """An evaluation's per-image table: one ``(image_id, mse, zero_filled_mse,
+    recon_ms)`` row per image, in dataset order."""
+
     model_id: str
     acceleration: float
-    image_ids: list
-    mse: list
-    zero_filled_mse: list
-    recon_ms: list
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.mse))
-
-    @property
-    def sd(self) -> float:
-        return float(np.std(self.mse))
-
-    @property
-    def zero_filled_mean(self) -> float:
-        return float(np.mean(self.zero_filled_mse))
+    rows: list
 
     def csv_text(self) -> str:
         lines = ["image_id,mse,zero_filled_mse"]
-        for iid, m, z in zip(self.image_ids, self.mse, self.zero_filled_mse):
-            lines.append(f"{iid},{m:.10e},{z:.10e}")
+        lines += [f"{iid},{m:.10e},{z:.10e}" for iid, m, z, _ in self.rows]
         return "\n".join(lines) + "\n"
 
     def table_text(self) -> str:
+        _, mse, zero_filled_mse, recon_ms = zip(*self.rows)
         lines = [
             f"model: {self.model_id}",
             f"acceleration: {self.acceleration:g}",
             f"{'image_id':<24} {'mse':>14} {'zero_filled_mse':>16}",
         ]
-        for iid, m, z in zip(self.image_ids, self.mse, self.zero_filled_mse):
-            lines.append(f"{iid:<24} {m:>14.6e} {z:>16.6e}")
-        lines.append(f"mean (SD): {self.mean:.6e} ({self.sd:.6e})")
-        lines.append(f"zero-filled mean: {self.zero_filled_mean:.6e}")
-        lines.append(f"mean reconstruction time: {float(np.mean(self.recon_ms)):.2f} ms")
+        lines += [f"{iid:<24} {m:>14.6e} {z:>16.6e}" for iid, m, z, _ in self.rows]
+        lines.append(f"mean (SD): {np.mean(mse):.6e} ({np.std(mse):.6e})")
+        lines.append(f"zero-filled mean: {np.mean(zero_filled_mse):.6e}")
+        lines.append(f"mean reconstruction time: {np.mean(recon_ms):.2f} ms")
         return "\n".join(lines) + "\n"
 
 
@@ -274,8 +254,10 @@ def cmd_evaluate(args) -> int:
     model = cascade_mod.load_checkpoint(args.checkpoint)
     paths, images = _load_split(Path(args.data), args.split)
 
+    # image i's mask is drawn from Rng(mask_seed).child(i); perfbench's
+    # eval-full80 check redraws each mask by this rule
     masks = [
-        _eval_mask(args.mask_seed, i, img, args.acceleration, args.n_low)
+        generate_mask(Rng(args.mask_seed).child(i), img.height, img.width, args.acceleration, args.n_low)
         for i, img in enumerate(images)
     ]
     # spread over CASCADE_RECON_THREADS, caller included; results keep input
@@ -284,20 +266,11 @@ def cmd_evaluate(args) -> int:
     for path, (x_u, x_cnn, _) in zip(paths, results):
         _check_finite(args.checkpoint, path, x_u, x_cnn)
 
-    report = EvalReport(
-        model_id=Path(args.checkpoint).name,
-        acceleration=args.acceleration,
-        image_ids=[p.stem for p in paths],
-        mse=[],
-        zero_filled_mse=[],
-        recon_ms=[],
-    )
-    for img, (x_u, x_cnn, ms) in zip(images, results):
-        truth = img.astype(model.dtype)
-        report.mse.append(mse_loss(x_cnn, truth)[0])
-        report.zero_filled_mse.append(mse_loss(x_u, truth)[0])
-        report.recon_ms.append(ms)
-
+    truths = [img.astype(model.dtype) for img in images]
+    report = EvalReport(Path(args.checkpoint).name, args.acceleration, [
+        (p.stem, mse_loss(x_cnn, truth)[0], mse_loss(x_u, truth)[0], ms)
+        for p, truth, (x_u, x_cnn, ms) in zip(paths, truths, results)
+    ])
     if args.out_report:
         out = Path(args.out_report)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -306,8 +279,7 @@ def cmd_evaluate(args) -> int:
     if args.emit_error_maps:
         maps_dir = Path(args.emit_error_maps)
         maps_dir.mkdir(parents=True, exist_ok=True)
-        for p, img, (x_u, x_cnn, _) in zip(paths, images, results):
-            truth = img.astype(model.dtype)
+        for p, truth, (x_u, x_cnn, _) in zip(paths, truths, results):
             peak = float(np.max(truth.magnitude()))
             scale = peak if peak > 0 else 1.0
             err = ComplexImage(x_cnn.channels - truth.channels).magnitude()

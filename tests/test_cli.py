@@ -208,6 +208,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("training diverged: ") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_adam_overflow_exits_3_and_writes_no_checkpoint(self, tmp_path, capsys):
+        # a finite but huge weight squares past float32 in Adam's second
+        # moment, which leaves NaN weights that load_checkpoint would refuse
+        data = tmp_path / "data"
+        assert main(["generate", "--n", "2", "--size", "16", "--seed", "1", "--out", str(data)]) == 0
+        model = build_model(Rng(0), 1, 2, 2)
+        model.stages[0].layers[1].weights[0, 0, 1, 1] = 3e20
+        save_checkpoint(model, tmp_path / "huge.csc1")
+        capsys.readouterr()
+        out = tmp_path / "run" / "m.csc1"
+        code = main(
+            ["train", "--data", str(data), "--nc", "1", "--nd", "2", "--nf", "2", "--epochs", "1",
+             "--batch-size", "1", "--n-low", "2", "--init-checkpoint", str(tmp_path / "huge.csc1"),
+             "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: non-finite parameter"), err
+        for key in ("'epoch'", "'step'", "'loss'", "'param_max'"):
+            assert key in err[0]
+        assert not out.exists()
+
 
 class TestReconstruct:
     def test_zero_weight_model_returns_zero_filled(self, dataset, tmp_path):
@@ -548,10 +570,14 @@ class TestInputErrors:
         assert not out.exists()
 
     def test_non_finite_checkpoint_is_input_error(self, dataset, tmp_path, capsys):
+        # save_checkpoint refuses a NaN, so it goes into the file's bytes
         model = build_model(Rng(0), 1, 2, 2)
-        model.stages[0].layers[0].bias[1] = np.nan
+        model.stages[0].layers[0].bias[1] = 1234.5
         ckpt = tmp_path / "nan.csc1"
         save_checkpoint(model, ckpt)
+        raw, marker = ckpt.read_bytes(), np.float32(1234.5).tobytes()
+        assert raw.count(marker) == 1
+        ckpt.write_bytes(raw.replace(marker, np.float32(np.nan).tobytes()))
         with pytest.raises(CheckpointFormatError, match="stage0.conv0.bias"):
             load_checkpoint(ckpt)
         code = main(
@@ -725,19 +751,21 @@ class TestReportArithmetic:
     def test_mean_and_sd_recomputable(self):
         rng = Rng(0)
         mse = rng.gen.uniform(0.001, 0.01, 7).tolist()
-        report = EvalReport(
-            model_id="m", acceleration=3.0, image_ids=[f"i{k}" for k in range(7)],
-            mse=mse, zero_filled_mse=mse, recon_ms=[1.0] * 7,
-        )
-        assert abs(report.mean - sum(mse) / 7) < 1e-12
-        assert abs(report.sd - math.sqrt(sum((v - report.mean) ** 2 for v in mse) / 7)) < 1e-12
+        report = EvalReport(model_id="m", acceleration=3.0, rows=[(f"i{k}", v, v, 1.0) for k, v in enumerate(mse)])
+        line = next(t for t in report.table_text().splitlines() if t.startswith("mean (SD): "))
+        mean, sd = (float(v) for v in line.removeprefix("mean (SD): ").rstrip(")").split(" ("))
+        want = sum(mse) / 7
+        # the table prints 7 significant digits
+        assert mean == pytest.approx(want, rel=1e-6)
+        assert sd == pytest.approx(math.sqrt(sum((v - want) ** 2 for v in mse) / 7), rel=1e-6)
 
     def test_report_text_pinned(self):
         # fixed numbers, so the pin does not depend on the BLAS or the cascade
-        report = EvalReport(
-            model_id="m.csc1", acceleration=4.0, image_ids=["phantom_000", "phantom_007", "phantom_011"],
-            mse=[1.25e-3, 3.5e-4, 2.0e-3], zero_filled_mse=[4.0e-3, 5.5e-3, 6.25e-3], recon_ms=[10.0, 12.5, 11.0],
-        )
+        report = EvalReport(model_id="m.csc1", acceleration=4.0, rows=[
+            ("phantom_000", 1.25e-3, 4.0e-3, 10.0),
+            ("phantom_007", 3.5e-4, 5.5e-3, 12.5),
+            ("phantom_011", 2.0e-3, 6.25e-3, 11.0),
+        ])
         assert report.csv_text() == (
             "image_id,mse,zero_filled_mse\n"
             "phantom_000,1.2500000000e-03,4.0000000000e-03\n"
