@@ -315,8 +315,9 @@ def save_checkpoint(model: CascadeModel, path) -> None:
 
     A model the header's one (n_d, n_f, k) cannot describe, such as one whose
     stages differ in depth, width or kernel size, raises InvalidShapeError,
-    and one of mixed precisions InvalidParameterError, before any file is
-    opened."""
+    and one of mixed precisions or with a non-finite value, which
+    :func:`load_checkpoint` would refuse, InvalidParameterError, before any
+    file is opened."""
     params = model.parameters()
     k = model.k
     shapes = [s for n_in, n_out in _channel_plan(model.n_d, model.n_f) for s in ((n_out, n_in, k, k), (n_out,))]
@@ -327,6 +328,9 @@ def save_checkpoint(model: CascadeModel, path) -> None:
         )
     if len({p.dtype for p in params}) > 1:
         raise InvalidParameterError("mixed tensor precisions: a CSC1 file holds one")
+    for (name, _), arr in zip(_tensor_records(model.n_c, model.n_d), params):
+        if not np.isfinite(arr).all():
+            raise InvalidParameterError(f"tensor {name} has non-finite values")
     infinite = model.lam == math.inf
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, infinite, 0.0 if infinite else model.lam,
                                model.n_c, model.n_d, model.n_f, k, len(params))

@@ -189,13 +189,26 @@ def train_epoch(
     bit-for-bit reproducible for a given seed, whatever the worker count.
     Returns ``(model, mean per-sample loss)``. Raises
     :class:`TrainingDivergedError` on the first non-finite loss in sample
-    order, once the whole batch has run and before its Adam step.
+    order, once the whole batch has run and before its Adam step, and on a
+    parameter that the Adam step leaves non-finite.
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
     order = rng.gen.permutation(len(dataset))
     params = model.parameters()
     losses = []
+
+    def diverged(what: str, step: int, loss: float) -> TrainingDivergedError:
+        return TrainingDivergedError(
+            f"non-finite {what} at epoch {epoch} step {step}",
+            diagnostics={
+                "epoch": epoch,
+                "step": step,
+                "loss": loss,
+                "param_max": max(float(np.max(np.abs(p))) for p in params),
+            },
+        )
+
     for step, start in enumerate(range(0, len(order), cfg.batch_size)):
         t0 = time.perf_counter()
         samples = []
@@ -206,23 +219,20 @@ def train_epoch(
             samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
         grads = model.zero_grads()
         batch_losses = []
-        for loss, sample_grads in ordered_map(lambda s: _sample_step(model, *s), samples):
-            if sample_grads is None:
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} step {step}",
-                    diagnostics={
-                        "epoch": epoch,
-                        "step": step,
-                        "loss": loss,
-                        "param_max": max(float(np.max(np.abs(p))) for p in params),
-                    },
-                )
-            batch_losses.append(loss)
-            for acc, g in zip(grads, sample_grads):
-                acc += g
-        for g in grads:
-            g /= len(samples)
-        adam_step(params, grads, state, cfg)
+        # finite but huge gradients can overflow the sum or Adam's squared
+        # moment; that is reported once, by the finiteness check after the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for loss, sample_grads in ordered_map(lambda s: _sample_step(model, *s), samples):
+                if sample_grads is None:
+                    raise diverged("loss", step, loss)
+                batch_losses.append(loss)
+                for acc, g in zip(grads, sample_grads):
+                    acc += g
+            for g in grads:
+                g /= len(samples)
+            adam_step(params, grads, state, cfg)
+        if not all(np.isfinite(p).all() for p in params):
+            raise diverged("parameter after the Adam step", step, float(np.mean(batch_losses)))
         losses.extend(batch_losses)
         if log_fn is not None:
             log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)

@@ -705,6 +705,22 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csc1"]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tensor_keeps_existing_checkpoint(self, tmp_path, monkeypatch, value):
+        # load_checkpoint refuses such a file, so save_checkpoint writes none
+        path = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(0), 2, 2, 2), path)
+        before = path.read_bytes()
+        model = build_model(Rng(1), 2, 2, 2)
+        model.stages[1].layers[0].bias[1] = value
+        opened = []
+        monkeypatch.setattr(cascade_mod, "open", lambda *a, **kw: opened.append(a), raising=False)
+        with pytest.raises(InvalidParameterError, match="^tensor stage1.conv0.bias has non-finite values$"):
+            save_checkpoint(model, path)
+        assert opened == []
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csc1"]
+
     @pytest.mark.parametrize("lam", [math.inf, 7.5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_c,n_d,n_f,k", [(1, 2, 1, 1), (2, 3, 5, 3), (3, 4, 2, 5), (2, 5, 8, 3)])

@@ -6,16 +6,16 @@ dataset manifest are mutated one at a time (a single byte set to any value, a
 truncation, a 4-byte overwrite or appended bytes), and every command that
 reads the mutated file runs in-process through ``cli.main``. Each run must
 exit 0 or 2 (or 3, training divergence, for ``train``); an exit 2 prints
-exactly one ``error:`` line on stderr and writes no output file, and an exit
-0 of ``reconstruct`` writes a finite zero-fill and reconstruction. A CSC1 or
-CXT1 file with bytes appended always exits 2. A mutated checkpoint or image
-either fails to load with a typed input error or loads to finite arrays.
+exactly one ``error:`` line on stderr and writes no output file, an exit 0
+of ``reconstruct`` writes a finite zero-fill and reconstruction, and an exit
+0 of ``train`` writes a checkpoint that loads. A CSC1 or CXT1 file with bytes
+appended always exits 2. A mutated checkpoint or image either fails to load
+with a typed input error or loads to finite arrays.
 """
 
 import contextlib
 import io
 import shutil
-import warnings
 
 import numpy as np
 import pytest
@@ -90,16 +90,11 @@ def run(argv):
     """(exit code, stderr lines) of one in-process run of the command line.
 
     The tests turn a numpy ``RuntimeWarning`` into an error, so a command
-    that warns fails the gate, except ``train``: a valid but huge mutated
-    weight, such as 1e20, can overflow Adam's squared gradient, which numpy
-    warns about and which is not an input error (training goes on, or
-    diverges with exit 3). ``reconstruct`` and ``evaluate`` report overflow
-    as one ``error:`` line instead.
+    that warns fails the gate: ``reconstruct`` and ``evaluate`` report
+    overflow as one ``error:`` line, and ``train`` as training divergence.
     """
     err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        if argv[0] == "train":
-            warnings.simplefilter("ignore", RuntimeWarning)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception as exc:  # the console script would print a traceback
@@ -125,6 +120,8 @@ def check_gate(d, pristine, name, blob):
         if code == 0 and command.startswith("reconstruct"):
             for out in ("x_u.cxt", "x_cnn.cxt"):
                 assert np.isfinite(load_tensor(d / "out" / out)).all(), (command, out)
+        if code == 0 and command == "train":
+            load_checkpoint(d / "out" / "m.csc1")
         codes[command] = code
     return codes
 
