@@ -80,8 +80,8 @@ def compare(base: Path, change: Path) -> list:
     result = []
     for rel in rels:
         a, b = base / rel, change / rel
-        same = a.is_file() and b.is_file() and without_wall_time(rel, a.read_bytes()) == without_wall_time(rel, b.read_bytes())
-        result.append((rel, same))
+        both = a.is_file() and b.is_file()
+        result.append((rel, both and without_wall_time(rel, a.read_bytes()) == without_wall_time(rel, b.read_bytes())))
     return result
 
 
@@ -107,8 +107,10 @@ def main(argv: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         with checked_out(argv[0], tmp / "base-tree") as base, checked_out(argv[1], tmp / "change-tree") as change:
+            # the two trees run side by side; each writes only its own directory
             with ThreadPoolExecutor(2) as pool:
-                runs = [pool.submit(run_commands, tree, tmp / side) for tree, side in ((base, "base-out"), (change, "change-out"))]
+                runs = [pool.submit(run_commands, tree, tmp / out)
+                        for tree, out in ((base, "base-out"), (change, "change-out"))]
                 for run in runs:
                     run.result()
         result = compare(tmp / "base-out", tmp / "change-out")
