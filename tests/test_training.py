@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -404,3 +405,31 @@ class TestThreadedTrainEpoch:
         model, images, cfg, state, rng = small_setup()
         with pytest.raises(InvalidParameterError, match="CASCADE_RECON_THREADS"):
             train_epoch(model, images, cfg, rng, state)
+
+
+class TestTrainedParameterPin:
+    # sha256 of every parameter's bytes, in checkpoint order, after two
+    # epochs; 5 samples in batches of 2 leave a one-sample last batch.
+    # Computed before the batch sum started from the first sample's
+    # gradients, and equal for every worker count. A float32 model on
+    # float64 images gets float64 gradients, summed in float32.
+    DIGESTS = {
+        ("float32", "float32"): "b817e46b08abcefa45fb3cd725cd84644affd631e46f2ac1c80e638c82d7d4af",
+        ("float64", "float64"): "aeb58a639e6f9b898b76732cef9e5d24f0470578da669fde10c94f1830847508",
+        ("float32", "float64"): "e500d3a1770600e69a37ebbc13dbc7d8b06b41e281ff8455756937fbc3367375",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("model_dtype,image_dtype", list(DIGESTS), ids=["float32", "float64", "mixed"])
+    def test_two_epochs_match_the_pinned_digest(self, monkeypatch, model_dtype, image_dtype, workers):
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        images = [img.astype(image_dtype) for img in make_dataset(5, 16, 16, seed=17)]
+        model = build_model(Rng(0).child(0), n_c=2, n_d=2, n_f=4, dtype=model_dtype)
+        cfg = TrainConfig(batch_size=2, acceleration=3.0, n_low=4)
+        state = init_adam_state(model.parameters())
+        rng = Rng(0).child(1)
+        for epoch in range(2):
+            train_epoch(model, images, cfg, rng, state, epoch=epoch)
+        assert state.t == 6
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in model.parameters())).hexdigest()
+        assert digest == self.DIGESTS[model_dtype, image_dtype]
