@@ -118,9 +118,6 @@ class CascadeModel:
                 out.append(layer.bias)
         return out
 
-    def zero_grads(self) -> list:
-        return [np.zeros_like(p) for p in self.parameters()]
-
     @property
     def dtype(self):
         return self.stages[0].layers[0].weights.dtype

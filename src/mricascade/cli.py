@@ -210,36 +210,33 @@ def _mask_for_args(args, img: ComplexImage) -> SamplingMask:
     return generate_mask(Rng(args.mask_seed), img.height, img.width, args.acceleration, args.n_low)
 
 
-def _timed_reconstruct(model, img: ComplexImage, mask: SamplingMask):
-    """Encode, then time the cascade alone: (zero-filled, recon, ms).
+def _reconstruct_checked(model, img: ComplexImage, mask: SamplingMask, checkpoint, image):
+    """Encode ``img``, already in the model's precision, and time the cascade
+    alone: ``(zero-filled, reconstruction, ms)``.
 
-    Overflow is reported once, by :func:`_check_finite`, so numpy's overflow
-    and invalid-value warnings are silenced here. numpy's error state is
-    local to a thread, so it is set inside the task each worker runs.
+    A run that overflowed raises InvalidParameterError naming ``checkpoint``
+    and ``image``: finite weights and pixels can still take the encoding or
+    the cascade past the precision's range, which leaves inf or NaN. That is
+    reported once, by this check, so numpy's overflow and invalid-value
+    warnings are silenced; numpy's error state is local to a thread, so it is
+    set inside the task each worker runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        meas = apply_encoding(img.astype(model.dtype), mask)
+        meas = apply_encoding(img, mask)
         t0 = time.perf_counter()
         x_cnn, cache = cascade_mod.cascade_forward(model, meas, _keep_caches=False)
         ms = (time.perf_counter() - t0) * 1e3
-    return cache.cfg.zero_fill, x_cnn, ms
-
-
-def _check_finite(checkpoint, image, x_u: ComplexImage, x_cnn: ComplexImage) -> None:
-    """Reject a run that overflowed: finite weights and pixels can still be
-    large enough to take the encoding or the cascade past the precision's
-    range, which leaves inf or NaN in the output."""
-    for name, im in (("zero-filled image", x_u), ("reconstruction", x_cnn)):
+    for name, im in (("zero-filled image", cache.cfg.zero_fill), ("reconstruction", x_cnn)):
         if not np.isfinite(im.channels).all():
             raise InvalidParameterError(f"{checkpoint} on {image}: the {name} overflowed to non-finite values")
+    return cache.cfg.zero_fill, x_cnn, ms
 
 
 def cmd_reconstruct(args) -> int:
     model = cascade_mod.load_checkpoint(args.checkpoint)
     img = load_image(args.image)
     mask = _mask_for_args(args, img)
-    x_u, x_cnn, elapsed_ms = _timed_reconstruct(model, img, mask)
-    _check_finite(args.checkpoint, args.image, x_u, x_cnn)
+    x_u, x_cnn, elapsed_ms = _reconstruct_checked(model, img.astype(model.dtype), mask, args.checkpoint, args.image)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,32 +257,36 @@ def cmd_evaluate(args) -> int:
         generate_mask(Rng(args.mask_seed).child(i), img.height, img.width, args.acceleration, args.n_low)
         for i, img in enumerate(images)
     ]
-    # spread over CASCADE_RECON_THREADS, caller included; results keep input
-    # order, so the report does not depend on the worker count
-    results = ordered_map(lambda t: _timed_reconstruct(model, *t), list(zip(images, masks)))
-    for path, (x_u, x_cnn, _) in zip(paths, results):
-        _check_finite(args.checkpoint, path, x_u, x_cnn)
 
-    truths = [img.astype(model.dtype) for img in images]
-    report = EvalReport(Path(args.checkpoint).name, args.acceleration, [
-        (p.stem, mse_loss(x_cnn, truth)[0], mse_loss(x_u, truth)[0], ms)
-        for p, truth, (x_u, x_cnn, ms) in zip(paths, truths, results)
-    ])
-    if args.out_report:
-        out = Path(args.out_report)
-        out.parent.mkdir(parents=True, exist_ok=True)
+    def score(path, img, mask):
+        # the truth is the very array encoded; mse_loss scores it outside the timed region
+        truth = img.astype(model.dtype)
+        x_u, x_cnn, ms = _reconstruct_checked(model, truth, mask, args.checkpoint, path)
+        return (path.stem, mse_loss(x_cnn, truth)[0], mse_loss(x_u, truth)[0], ms), (truth, x_u, x_cnn)
+
+    # spread over CASCADE_RECON_THREADS, caller included; results keep input
+    # order, so the report does not depend on the worker count, and the first
+    # image in that order that overflowed is the one named
+    results = ordered_map(lambda t: score(*t), list(zip(paths, images, masks)))
+    report = EvalReport(Path(args.checkpoint).name, args.acceleration, [row for row, _ in results])
+    # every image has passed its check: make every output directory before
+    # writing any file, so one that cannot be made leaves no file behind
+    out = Path(args.out_report) if args.out_report else None
+    maps_dir = Path(args.emit_error_maps) if args.emit_error_maps else None
+    for directory in (out and out.parent, maps_dir):
+        if directory:
+            directory.mkdir(parents=True, exist_ok=True)
+    if out:
         out.write_text(report.csv_text())
         out.with_suffix(out.suffix + ".txt").write_text(report.table_text())
-    if args.emit_error_maps:
-        maps_dir = Path(args.emit_error_maps)
-        maps_dir.mkdir(parents=True, exist_ok=True)
-        for p, truth, (x_u, x_cnn, _) in zip(paths, truths, results):
+    if maps_dir:
+        for (iid, *_), (truth, x_u, x_cnn) in results:
             peak = float(np.max(truth.magnitude()))
             scale = peak if peak > 0 else 1.0
             err = ComplexImage(x_cnn.channels - truth.channels).magnitude()
-            write_pgm(maps_dir / f"{p.stem}_error_x5.pgm", _quantize_unit(5.0 * err / scale))
+            write_pgm(maps_dir / f"{iid}_error_x5.pgm", _quantize_unit(5.0 * err / scale))
             for tag, im in (("original", truth), ("zero_filled", x_u), ("recon", x_cnn)):
-                write_pgm(maps_dir / f"{p.stem}_{tag}.pgm", _quantize_unit(im.magnitude() / scale))
+                write_pgm(maps_dir / f"{iid}_{tag}.pgm", _quantize_unit(im.magnitude() / scale))
     print(report.table_text(), end="")
     return 0
 

@@ -155,8 +155,7 @@ def augment(rng: Rng, img: ComplexImage) -> ComplexImage:
 
 
 def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
-    """One sample's forward and backward pass: ``(loss, parameter gradients)``,
-    with no gradients when the loss is not finite.
+    """One sample's forward and backward pass: ``(loss, parameter gradients)``.
 
     Overflow is reported once, as :class:`TrainingDivergedError`, so numpy's
     overflow and invalid-value warnings are silenced here. numpy's error state
@@ -165,8 +164,6 @@ def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
     with np.errstate(over="ignore", invalid="ignore"):
         x_cnn, cache = cascade_forward(model, apply_encoding(x_t, mask))
         loss, grad = mse_loss(x_cnn, x_t)
-        if not np.isfinite(loss):
-            return loss, None
         return loss, cascade_backward(model, cache, grad)
 
 
@@ -189,8 +186,8 @@ def train_epoch(
     bit-for-bit reproducible for a given seed, whatever the worker count.
     Returns ``(model, mean per-sample loss)``. Raises
     :class:`TrainingDivergedError` on the first non-finite loss in sample
-    order, once the whole batch has run and before its Adam step, and on a
-    parameter that the Adam step leaves non-finite.
+    order, once the whole batch has run and before its gradients are summed,
+    and on a parameter that the Adam step leaves non-finite.
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
@@ -217,15 +214,18 @@ def train_epoch(
             if cfg.augment:
                 x_t = augment(rng, x_t)
             samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
-        grads = model.zero_grads()
-        batch_losses = []
-        # finite but huge gradients can overflow the sum or Adam's squared
-        # moment; that is reported once, by the finiteness check after the step
+        results = ordered_map(lambda s: _sample_step(model, *s), samples)
+        batch_losses = [loss for loss, _ in results]
+        for loss in batch_losses:
+            if not np.isfinite(loss):
+                raise diverged("loss", step, loss)
+        # the sum runs in the parameters' precision, in place on the first
+        # sample's gradients (a copy only when an image's precision differs);
+        # finite but huge gradients can overflow it or Adam's squared moment,
+        # which is reported once, by the finiteness check after the step
+        grads = [g.astype(p.dtype, copy=False) for p, g in zip(params, results[0][1])]
         with np.errstate(over="ignore", invalid="ignore"):
-            for loss, sample_grads in ordered_map(lambda s: _sample_step(model, *s), samples):
-                if sample_grads is None:
-                    raise diverged("loss", step, loss)
-                batch_losses.append(loss)
+            for _, sample_grads in results[1:]:
                 for acc, g in zip(grads, sample_grads):
                     acc += g
             for g in grads:
