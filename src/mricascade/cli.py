@@ -3,10 +3,12 @@ evaluation, and the gradient-check harness.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error (a bad flag
 value, any unreadable or malformed checkpoint, image, manifest, mask file
-or ``CASCADE_RECON_THREADS``, an input too large to allocate, or a
+or ``CASCADE_RECON_THREADS``, an input too large to allocate, a
 ``reconstruct`` or ``evaluate`` run whose finite checkpoint and image
-overflow to a non-finite zero-fill or reconstruction; commands raise, and
-only :func:`main` reports it as one ``error:`` line), 3 training
+overflow to a non-finite zero-fill or reconstruction, a ``train --out``
+that is a directory, or an ``evaluate`` output directory that cannot be
+made, where the last three are found before any file is written; commands
+raise, and only :func:`main` reports it as one ``error:`` line), 3 training
 divergence. Every command is deterministic given its flags;
 ``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``,
 which share one rule (``training.ordered_map``: the calling thread runs every
@@ -144,6 +146,8 @@ def cmd_train(args) -> int:
         raise InvalidParameterError(f"epochs must be >= 0, got {args.epochs}")
     if args.checkpoint_every < 0:
         raise InvalidParameterError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
+    if Path(args.out).is_dir():
+        raise InvalidParameterError(f"--out is a directory: {args.out}")
     _, images = _load_split(Path(args.data), "train")
 
     # the line budget and the kernel's fit depend on the image size: check

@@ -223,8 +223,8 @@ def train_epoch(
         # sample's gradients (a copy only when an image's precision differs);
         # finite but huge gradients can overflow it or Adam's squared moment,
         # which is reported once, by the finiteness check after the step
-        grads = [g.astype(p.dtype, copy=False) for p, g in zip(params, results[0][1])]
         with np.errstate(over="ignore", invalid="ignore"):
+            grads = [g.astype(p.dtype, copy=False) for p, g in zip(params, results[0][1])]
             for _, sample_grads in results[1:]:
                 for acc, g in zip(grads, sample_grads):
                     acc += g

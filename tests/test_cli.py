@@ -231,6 +231,22 @@ class TestTrain:
         assert not out.exists()
 
 
+    def test_directory_out_is_input_error_and_trains_nothing(self, dataset, tmp_path, capsys, monkeypatch):
+        # a directory cannot take the checkpoint's rename; that is found
+        # before any epoch runs or the log is opened
+        epochs = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *args, **kwargs: epochs.append(args))
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = main(
+            ["train", "--data", str(dataset), "--nc", "1", "--nd", "2", "--nf", "2", "--epochs", "2",
+             "--batch-size", "1", "--n-low", "2", "--out", str(out)]
+        )
+        assert assert_input_error(code, capsys) == f"error: --out is a directory: {out}"
+        assert epochs == [] and list(out.iterdir()) == []
+        assert not (tmp_path / "outdir.log").exists()
+
+
 class TestReconstruct:
     def test_zero_weight_model_returns_zero_filled(self, dataset, tmp_path):
         ckpt = tmp_path / "zero.csc1"
@@ -372,6 +388,50 @@ class TestEvaluate:
         scale = float(np.max(np.hypot(*img.channels)))
         expected = np.minimum(np.floor(np.clip(5.0 * err / scale, 0, 1) * 255.0 + 0.5), 255)
         assert np.array_equal(payload.reshape(32, 32), expected.astype(np.uint8))
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "reconstruct"])
+    def test_casts_each_loaded_image_once(self, dataset, tmp_path, capsys, monkeypatch, command):
+        # the cast image is both what is encoded and what evaluate scores against
+        loaded, cast = [], []
+        load, astype = cli.load_image, ComplexImage.astype
+
+        def load_spy(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def astype_spy(img, dtype):
+            cast.append(img)
+            return astype(img, dtype)
+
+        monkeypatch.setattr(cli, "load_image", load_spy)
+        monkeypatch.setattr(ComplexImage, "astype", astype_spy)
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(3), 1, 2, 4), ckpt)
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", "train",
+                         "--n-low", "4", "--emit-error-maps", str(tmp_path / "maps")],
+            "reconstruct": ["reconstruct", "--checkpoint", str(ckpt), "--image", str(read_manifest(dataset)[0][0]),
+                            "--n-low", "4", "--out", str(tmp_path / "recon")],
+        }[command]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(loaded) == (5 if command == "evaluate" else 1)
+        assert [sum(c is img for c in cast) for img in loaded] == [1] * len(loaded)
+
+    def test_unmakeable_maps_directory_writes_no_report(self, dataset, tmp_path, capsys):
+        # every output directory is made before the first file is written
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        maps = tmp_path / "maps_is_file"
+        maps.write_text("")
+        report = tmp_path / "rep" / "r.csv"
+        code = main(
+            ["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset), "--n-low", "4",
+             "--out-report", str(report), "--emit-error-maps", str(maps)]
+        )
+        assert str(maps) in assert_input_error(code, capsys)
+        assert list(report.parent.iterdir()) == []
 
 
 class TestEvaluateParallel:

@@ -10,9 +10,12 @@ working directory with relative paths and ``CASCADE_RECON_THREADS=2``:
 
 - ``generate --n 6 --size 32 --seed 5``;
 - ``train --nc 2 --nd 3 --nf 8 --epochs 3 --batch-size 2 --seed 1``;
+- a warm start from that checkpoint, ``train --init-checkpoint m.csc1
+  --checkpoint-every 1 --epochs 2``, with its per-epoch snapshots;
 - ``evaluate --mask-seed 3 --out-report --emit-error-maps`` on each split;
-- ``reconstruct --mask-seed 2`` of the first image;
-- ``gradcheck``;
+- ``reconstruct --mask-seed 2`` of the first image, then ``reconstruct
+  --mask-file`` with the mask file that run wrote;
+- ``gradcheck`` with its default seed and with ``--seed`` 1, 2 and 3;
 - ``--help`` of the top level and of every command.
 
 Every file the commands write and every command's stdout, stderr and exit
@@ -37,6 +40,9 @@ COMMANDS = {
     "generate": ["generate", "--n", "6", "--size", "32", "--seed", "5", "--out", "data"],
     "train": ["train", "--data", "data", "--nc", "2", "--nd", "3", "--nf", "8", "--epochs", "3",
               "--batch-size", "2", "--seed", "1", "--out", "m.csc1"],
+    "train-warm": ["train", "--data", "data", "--nc", "2", "--nd", "3", "--nf", "8", "--epochs", "2",
+                   "--batch-size", "2", "--seed", "2", "--init-checkpoint", "m.csc1", "--checkpoint-every", "1",
+                   "--out", "warm.csc1"],
     **{
         f"evaluate-{split}": ["evaluate", "--checkpoint", "m.csc1", "--data", "data", "--split", split,
                               "--mask-seed", "3", "--out-report", f"{split}/report.csv",
@@ -45,7 +51,10 @@ COMMANDS = {
     },
     "reconstruct": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_000.cxt",
                     "--mask-seed", "2", "--out", "recon"],
+    "reconstruct-mask-file": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_001.cxt",
+                              "--mask-file", "recon/mask.cxt", "--out", "recon-mask-file"],
     "gradcheck": ["gradcheck"],
+    **{f"gradcheck-seed{seed}": ["gradcheck", "--seed", str(seed)] for seed in (1, 2, 3)},
     **{
         f"help-{cmd or 'top'}": [cmd, "--help"] if cmd else ["--help"]
         for cmd in ("", "generate", "train", "reconstruct", "evaluate", "gradcheck")
