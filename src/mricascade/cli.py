@@ -13,6 +13,12 @@ divergence. Every command is deterministic given its flags;
 ``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``,
 which share one rule (``training.ordered_map``: the calling thread runs every
 workers-th item), and does not change the results.
+
+``evaluate`` runs each image as one task, from reading its file to its
+report row, so its memory does not grow with the split size; only
+``--emit-error-maps`` keeps each image's truth, zero-fill and
+reconstruction, because maps are written once every image has passed. When
+images fail, the first in split order is named, however it failed.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from .errors import INPUT_ERRORS, InvalidParameterError, InvalidShapeError, Trai
 from .gradcheck import run_gradcheck
 from .phantom import make_dataset, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
-from .tensorcore import ComplexImage, Rng, load_image, load_tensor, save_image, save_tensor
-from .training import TrainConfig, init_adam_state, mse_loss, ordered_map, train_epoch, worker_count
+from .tensorcore import ComplexImage, Rng, complex_norm_sq, load_image, load_tensor, save_image, save_tensor
+from .training import TrainConfig, init_adam_state, ordered_map, train_epoch, worker_count
 
 MANIFEST_NAME = "manifest.txt"
 
@@ -61,15 +67,15 @@ def read_manifest(data_dir: Path):
     return entries
 
 
-def _load_split(data_dir: Path, split: str):
-    """The paths and images of one split of a dataset directory; no manifest
-    or an empty split raises InvalidParameterError."""
+def _split_paths(data_dir: Path, split: str):
+    """The image paths of one split of a dataset directory; no manifest or
+    an empty split raises InvalidParameterError."""
     if not (data_dir / MANIFEST_NAME).is_file():
         raise InvalidParameterError(f"no dataset manifest in {data_dir}")
     paths = [p for p, s in read_manifest(data_dir) if s == split]
     if not paths:
         raise InvalidParameterError(f"split {split!r} is empty")
-    return paths, [load_image(p) for p in paths]
+    return paths
 
 
 def _quantize_unit(values: np.ndarray) -> np.ndarray:
@@ -148,7 +154,8 @@ def cmd_train(args) -> int:
         raise InvalidParameterError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     if Path(args.out).is_dir():
         raise InvalidParameterError(f"--out is a directory: {args.out}")
-    _, images = _load_split(Path(args.data), "train")
+    # training visits every image every epoch, so it holds them all
+    images = [load_image(p) for p in _split_paths(Path(args.data), "train")]
 
     # the line budget and the kernel's fit depend on the image size: check
     # them before a model is built or anything is written, the masks on a
@@ -253,40 +260,38 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = cascade_mod.load_checkpoint(args.checkpoint)
-    paths, images = _load_split(Path(args.data), args.split)
 
-    # image i's mask is drawn from Rng(mask_seed).child(i); perfbench's
-    # eval-full80 check redraws each mask by this rule
-    masks = [
-        generate_mask(Rng(args.mask_seed).child(i), img.height, img.width, args.acceleration, args.n_low)
-        for i, img in enumerate(images)
-    ]
-
-    def score(path, img, mask):
-        # the truth is the very array encoded; mse_loss scores it outside the timed region
-        truth = img.astype(model.dtype)
+    def score(i, path):
+        # one task per image, from its file to its report row; the truth is
+        # the very array encoded, scored outside the timed region
+        truth = load_image(path).astype(model.dtype)
+        # image i's mask is drawn from Rng(mask_seed).child(i); perfbench's
+        # eval-full80 check redraws each mask by this rule
+        mask = generate_mask(Rng(args.mask_seed).child(i), truth.height, truth.width, args.acceleration, args.n_low)
         x_u, x_cnn, ms = _reconstruct_checked(model, truth, mask, args.checkpoint, path)
-        return (path.stem, mse_loss(x_cnn, truth)[0], mse_loss(x_u, truth)[0], ms), (truth, x_u, x_cnn)
+        mse = [complex_norm_sq(ComplexImage(im.channels - truth.channels)) / (truth.height * truth.width)
+               for im in (x_cnn, x_u)]
+        # the arrays outlive the task only for the error maps
+        return (path.stem, *mse, ms), (truth, x_u, x_cnn) if args.emit_error_maps else None
 
     # spread over CASCADE_RECON_THREADS, caller included; results keep input
     # order, so the report does not depend on the worker count, and the first
-    # image in that order that overflowed is the one named
-    results = ordered_map(lambda t: score(*t), list(zip(paths, images, masks)))
+    # image in that order that failed is the one named
+    results = ordered_map(lambda item: score(*item), list(enumerate(_split_paths(Path(args.data), args.split))))
     report = EvalReport(Path(args.checkpoint).name, args.acceleration, [row for row, _ in results])
     # every image has passed its check: make every output directory before
     # writing any file, so one that cannot be made leaves no file behind
     out = Path(args.out_report) if args.out_report else None
     maps_dir = Path(args.emit_error_maps) if args.emit_error_maps else None
-    for directory in (out and out.parent, maps_dir):
-        if directory:
-            directory.mkdir(parents=True, exist_ok=True)
+    for directory in filter(None, (out and out.parent, maps_dir)):
+        directory.mkdir(parents=True, exist_ok=True)
     if out:
         out.write_text(report.csv_text())
         out.with_suffix(out.suffix + ".txt").write_text(report.table_text())
     if maps_dir:
         for (iid, *_), (truth, x_u, x_cnn) in results:
-            peak = float(np.max(truth.magnitude()))
-            scale = peak if peak > 0 else 1.0
+            # every map is scaled by the truth's peak magnitude, or by 1 if that is 0
+            scale = float(np.max(truth.magnitude())) or 1.0
             err = ComplexImage(x_cnn.channels - truth.channels).magnitude()
             write_pgm(maps_dir / f"{iid}_error_x5.pgm", _quantize_unit(5.0 * err / scale))
             for tag, im in (("original", truth), ("zero_filled", x_u), ("recon", x_cnn)):

@@ -22,7 +22,7 @@ import numpy as np
 from .cascade import CascadeModel, cascade_backward, cascade_forward
 from .errors import InvalidParameterError, InvalidShapeError, TrainingDivergedError
 from .sampling import SamplingMask, apply_encoding, generate_mask
-from .tensorcore import ComplexImage, Rng
+from .tensorcore import ComplexImage, Rng, complex_norm_sq
 
 MAX_AUGMENT_SHIFT = 4
 ADAM_BETA1 = 0.9
@@ -120,7 +120,7 @@ def mse_loss(x_cnn: ComplexImage, x_t: ComplexImage):
         )
     n = x_cnn.height * x_cnn.width
     diff = x_cnn.channels - x_t.channels
-    loss = float(np.sum(np.square(diff, dtype=np.float64))) / n
+    loss = complex_norm_sq(ComplexImage(diff)) / n
     grad = ComplexImage((2.0 / n) * diff)
     return loss, grad
 

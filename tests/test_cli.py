@@ -4,6 +4,7 @@ import io
 import math
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,64 @@ class TestEvaluateParallel:
         monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(dataset)])
         assert "CASCADE_RECON_THREADS" in assert_input_error(code, capsys)
+
+
+class TestEvaluateStreams:
+    """Each evaluate task loads, masks, reconstructs and scores one image."""
+
+    @staticmethod
+    def split_of(dataset, root, n):
+        """A dataset directory whose test split is ``n`` copies of the
+        fixture's images, cycled, named img_00.cxt onwards."""
+        root.mkdir()
+        sources = [p for p, _ in read_manifest(dataset)]
+        names = [f"img_{j:02d}.cxt" for j in range(n)]
+        for j, name in enumerate(names):
+            (root / name).write_bytes(sources[j % len(sources)].read_bytes())
+        (root / "manifest.txt").write_text("".join(f"{name},test\n" for name in names))
+        return root
+
+    def test_report_only_memory_does_not_grow_with_the_split(self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CASCADE_RECON_THREADS", "1")
+        ckpt = tmp_path / "m.csc1"
+        save_checkpoint(build_model(Rng(3), 1, 2, 4), ckpt)
+        splits = {n: self.split_of(dataset, tmp_path / f"data{n}", n) for n in (2, 24)}
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(splits[n]), "--n-low", "4",
+                             "--out-report", str(tmp_path / f"r{n}.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(2)  # fills the DFT-matrix cache, so neither measured run pays for it
+        few, many = peak(2), peak(24)
+        # a 32x32 image with its mask, operator and reconstructions holds
+        # about 38 KB; the 22 more images may add a tenth of that each
+        assert many - few < 22 * 4096, (few, many)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflow_in_image_0_is_named_before_a_later_malformed_image(self, dataset, tmp_path, capsys,
+                                                                          monkeypatch, workers):
+        # the first failing image in item order is named, however it failed
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        data = self.split_of(dataset, tmp_path / "data", 2)
+        first, malformed = data / "img_00.cxt", data / "img_01.cxt"
+        img = load_image(first).channels.copy()
+        img[0] = 3e38
+        save_image(first, ComplexImage(img))
+        malformed.write_bytes(malformed.read_bytes()[:-1])
+        ckpt = tmp_path / "zero.csc1"
+        save_checkpoint(zero_model(1, 2, 4), ckpt)
+        out = tmp_path / "out"
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data), "--n-low", "4",
+                     "--out-report", str(out / "report.csv"), "--emit-error-maps", str(out / "maps")])
+        line = assert_input_error(code, capsys)
+        assert line == f"error: {ckpt} on {first}: the zero-filled image overflowed to non-finite values"
+        assert not out.exists()
 
 
 class TestInputErrors:

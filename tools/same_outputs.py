@@ -12,7 +12,9 @@ working directory with relative paths and ``CASCADE_RECON_THREADS=2``:
 - ``train --nc 2 --nd 3 --nf 8 --epochs 3 --batch-size 2 --seed 1``;
 - a warm start from that checkpoint, ``train --init-checkpoint m.csc1
   --checkpoint-every 1 --epochs 2``, with its per-epoch snapshots;
-- ``evaluate --mask-seed 3 --out-report --emit-error-maps`` on each split;
+- ``evaluate --mask-seed 3 --out-report --emit-error-maps`` on each split,
+  and ``evaluate --mask-seed 4 --out-report`` on the train split, which
+  writes no error maps;
 - ``reconstruct --mask-seed 2`` of the first image, then ``reconstruct
   --mask-file`` with the mask file that run wrote;
 - ``gradcheck`` with its default seed and with ``--seed`` 1, 2 and 3;
@@ -49,6 +51,8 @@ COMMANDS = {
                               "--emit-error-maps", f"{split}/maps"]
         for split in ("test", "train")
     },
+    "evaluate-report-only": ["evaluate", "--checkpoint", "m.csc1", "--data", "data", "--split", "train",
+                             "--mask-seed", "4", "--out-report", "report-only/report.csv"],
     "reconstruct": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_000.cxt",
                     "--mask-seed", "2", "--out", "recon"],
     "reconstruct-mask-file": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_001.cxt",
