@@ -10,9 +10,12 @@ that is a directory, or an ``evaluate`` output directory that cannot be
 made, where the last three are found before any file is written; commands
 raise, and only :func:`main` reports it as one ``error:`` line), 3 training
 divergence. Every command is deterministic given its flags;
-``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``,
-which share one rule (``training.ordered_map``: the calling thread runs every
-workers-th item), and does not change the results.
+``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``
+and does not change the results. Both run item ``i`` on worker
+``i % workers``, the caller being worker 0: ``train`` on processes forked once
+per epoch (``training.train_epoch``), as a desk-scale sample's many short
+numpy calls run one at a time on threads, and ``evaluate`` on threads
+(``training.ordered_map``), whose large matrix products already overlap.
 
 ``evaluate`` runs each image as one task, from reading its file to its
 report row, so its memory does not grow with the split size; only
@@ -35,7 +38,7 @@ import numpy as np
 from . import cascade as cascade_mod
 from .errors import INPUT_ERRORS, InvalidParameterError, InvalidShapeError, TrainingDivergedError, naming_file
 from .gradcheck import run_gradcheck
-from .phantom import make_dataset, split_indices
+from .phantom import dataset_seeds, make_phantom, split_indices
 from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng, complex_norm_sq, load_image, load_tensor, save_image, save_tensor
 from .training import TrainConfig, init_adam_state, ordered_map, train_epoch, worker_count
@@ -131,14 +134,19 @@ def cmd_generate(args) -> int:
     if args.size < 4 or args.size % 2:
         raise InvalidParameterError("--size must be even and >= 4")
     train_idx, test_idx = split_indices(args.n, args.train_fraction)
-    # phantoms first: a seed make_dataset rejects leaves no output directory
-    images = make_dataset(args.n, args.size, args.size, seed=args.seed)
+    # the seeds and the first phantom come before the output directory, so a
+    # bad seed or a size too large to allocate leaves none
+    seeds = dataset_seeds(args.n, args.seed)
+    img = make_phantom(args.size, args.size, seeds[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     split_of = {i: "train" for i in train_idx}
     split_of.update({i: "test" for i in test_idx})
     lines = []
-    for i, img in enumerate(images):
+    for i, seed in enumerate(seeds):
+        # each phantom is written as soon as it is drawn, so memory does not grow with --n
+        if i:
+            img = make_phantom(args.size, args.size, seed)
         name = f"phantom_{i:03d}.cxt"
         save_image(out / name, img)
         lines.append(f"{name},{split_of[i]}")

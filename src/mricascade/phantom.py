@@ -38,8 +38,9 @@ def make_phantom(height: int, width: int, seed: int, dtype=np.float32) -> Comple
         theta = rng.gen.uniform(0.0, np.pi)
         value = rng.gen.uniform(*INTENSITY_RANGE)
         ct, st = np.cos(theta), np.sin(theta)
-        u = (xx - cx) * ct + (yy - cy) * st
-        v = -(xx - cx) * st + (yy - cy) * ct
+        dx, dy = xx - cx, yy - cy
+        u = dx * ct + dy * st
+        v = -dx * st + dy * ct
         mag[(u / a) ** 2 + (v / b) ** 2 <= 1.0] += value
     np.clip(mag, 0.0, 1.0, out=mag)
 
@@ -48,12 +49,18 @@ def make_phantom(height: int, width: int, seed: int, dtype=np.float32) -> Comple
     return ComplexImage.from_complex(mag * np.exp(1j * phase), dtype=dtype)
 
 
-def make_dataset(n: int, height: int, width: int, seed: int) -> list:
-    """n float32 phantoms from per-item seeds derived from one master seed."""
+def dataset_seeds(n: int, seed: int) -> list:
+    """The seeds of an n-phantom dataset: item ``i`` draws from child ``i`` of
+    the master ``seed``, ``Rng(seed).child(i).seed``."""
     if n < 1:
         raise InvalidParameterError(f"dataset size must be >= 1, got {n}")
     master = Rng(seed)
-    return [make_phantom(height, width, master.child(i).seed) for i in range(n)]
+    return [master.child(i).seed for i in range(n)]
+
+
+def make_dataset(n: int, height: int, width: int, seed: int) -> list:
+    """n float32 phantoms, one per seed of :func:`dataset_seeds`."""
+    return [make_phantom(height, width, s) for s in dataset_seeds(n, seed)]
 
 
 def split_indices(n: int, train_fraction: float = 0.8):

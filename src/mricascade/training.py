@@ -12,7 +12,10 @@ variant. Augmentation shifts by at most :data:`MAX_AUGMENT_SHIFT` pixels.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeModel, cascade_backward, cascade_forward
-from .errors import InvalidParameterError, InvalidShapeError, TrainingDivergedError
+from .errors import InvalidParameterError, InvalidShapeError, InvalidStateError, TrainingDivergedError
 from .sampling import SamplingMask, apply_encoding, generate_mask
 from .tensorcore import ComplexImage, Rng, complex_norm_sq
 
@@ -41,17 +44,34 @@ def worker_count() -> int:
 
 
 def ordered_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]`` on ``worker_count()`` threads: item ``i`` runs
-    on the calling thread when ``i % workers == 0`` and on a pool of
-    ``workers - 1`` threads otherwise. The pool lives for one call, and one
-    worker makes none. The first exception in item order propagates once the
-    pool has run its items."""
+    """``[fn(x) for x in items]`` on ``worker_count()`` threads, as ``evaluate``
+    runs its images: item ``i`` runs on the calling thread when
+    ``i % workers == 0`` and on a pool of ``workers - 1`` threads otherwise.
+    The pool lives for one call, and one worker makes none. The first
+    exception in item order propagates; once an item has failed, no later
+    item starts, and the pool is gone when the call returns."""
     workers = worker_count()
     if workers == 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = {i: pool.submit(fn, x) for i, x in enumerate(items) if i % workers}
-        return [futures[i].result() if i % workers else fn(x) for i, x in enumerate(items)]
+    failed = []  # the indices of the items that have failed
+
+    def run(i, x):
+        # an item after a failed one is skipped: the error raised is that of
+        # the first failing item, so its result is never read
+        if failed and i > min(failed):
+            return None
+        try:
+            return fn(x)
+        except BaseException:
+            failed.append(i)
+            raise
+
+    pool = ThreadPoolExecutor(workers - 1)
+    try:
+        futures = {i: pool.submit(run, i, x) for i, x in enumerate(items) if i % workers}
+        return [futures[i].result() if i % workers else run(i, x) for i, x in enumerate(items)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -159,12 +179,116 @@ def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
 
     Overflow is reported once, as :class:`TrainingDivergedError`, so numpy's
     overflow and invalid-value warnings are silenced here. numpy's error state
-    is local to a thread, so it is set inside the task each worker runs.
+    is local to a thread, so it is set inside the step, wherever it runs.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x_cnn, cache = cascade_forward(model, apply_encoding(x_t, mask))
         loss, grad = mse_loss(x_cnn, x_t)
         return loss, cascade_backward(model, cache, grad)
+
+
+def _run_share(model: CascadeModel, samples: list):
+    """:func:`_sample_step` over ``samples`` in order, stopping at the first
+    that raises: ``(the results before it, its exception or None)``."""
+    results = []
+    for x_t, mask in samples:
+        try:
+            results.append(_sample_step(model, x_t, mask))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _serve(conn, model: CascadeModel, inherited: list) -> None:
+    """A worker process's loop: per batch, take the parameters and a share of
+    the samples from ``conn`` and send back :func:`_run_share`'s pair. Returns
+    once the caller has closed its end of the pipe."""
+    # the caller's ends of every pipe forked so far, this one's included: a
+    # copy held open here would keep a worker from ever seeing its pipe close
+    for c in inherited:
+        c.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    params = model.parameters()
+    try:
+        while True:
+            new_params, samples = conn.recv()
+            for p, new in zip(params, new_params):
+                p[...] = new
+            conn.send(_run_share(model, samples))
+    except (EOFError, BrokenPipeError):
+        pass
+
+
+class _Workers:
+    """``count - 1`` forked processes that run a batch's samples beside the
+    calling process, worker 0; with ``W = count``, sample ``i`` of a batch runs
+    on worker ``i % W``. Used as a context manager, for one epoch: on exit
+    every pipe is closed and every worker joined, and on an exception the
+    workers are first terminated, as their results are no longer wanted."""
+
+    def __init__(self, model: CascadeModel, count: int):
+        self.model = model
+        self.conns, self.procs = [], []
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(count - 1):
+                here, there = ctx.Pipe()
+                self.conns.append(here)
+                proc = ctx.Process(target=_serve, args=(there, model, self.conns), daemon=True)
+                proc.start()
+                self.procs.append(proc)
+                there.close()
+        except BaseException:
+            self.__exit__(BaseException)
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if exc_type is not None:
+                proc.terminate()
+            proc.join()
+            proc.close()
+
+    @contextlib.contextmanager
+    def _pipe(self, j: int):
+        """The pipe to worker ``j``; one that closes because the worker died
+        raises InvalidStateError."""
+        try:
+            yield self.conns[j - 1]
+        except (EOFError, BrokenPipeError) as exc:
+            proc = self.procs[j - 1]
+            proc.join()
+            raise InvalidStateError(
+                f"training worker {j} of {len(self.procs) + 1} exited mid-batch with code {proc.exitcode}"
+            ) from exc
+
+    def run(self, samples: list) -> list:
+        """Each sample's ``(loss, grads)``, in sample order. Every worker gets
+        the current parameters and its share; the caller then runs its own,
+        and the first failure in sample order is raised, once every sample
+        before it has run."""
+        w = len(self.procs) + 1
+        params = self.model.parameters()
+        for j in range(1, min(w, len(samples))):
+            with self._pipe(j) as conn:
+                conn.send((params, samples[j::w]))
+        shares = {0: _run_share(self.model, samples[::w])}
+        results = []
+        for i in range(len(samples)):
+            j, k = i % w, i // w
+            if j not in shares:
+                with self._pipe(j) as conn:
+                    shares[j] = conn.recv()
+            done, error = shares[j]
+            if k == len(done):
+                raise error
+            results.append(done[k])
+        return results
 
 
 def train_epoch(
@@ -180,17 +304,26 @@ def train_epoch(
     fresh mask, simulate the acquisition, run forward/backward; per batch,
     average the gradients and take one Adam step.
 
-    The calling thread draws every sample's augmentation and mask in order;
-    :func:`ordered_map` then runs the batch's samples, one pool per batch, and
-    losses and gradients are summed in sample order. So an epoch is
-    bit-for-bit reproducible for a given seed, whatever the worker count.
-    Returns ``(model, mean per-sample loss)``. Raises
+    The calling process draws every sample's augmentation and mask in order.
+    With ``W = min(worker_count(), batch size, dataset size)``, it forks
+    ``W - 1`` worker processes once per epoch (POSIX ``fork``), and per batch
+    sends worker ``j`` the current parameters and samples ``j, j + W, ...``;
+    it runs samples ``0, W, ...`` itself, and sums losses and gradients in
+    sample order. So an epoch is bit-for-bit reproducible for a given seed,
+    whatever the worker count. Processes, not threads: a desk-scale sample
+    makes many short numpy calls, which threads run one at a time.
+
+    Returns ``(model, mean per-sample loss)``. A sample's exception is raised
+    as it is, the first in sample order; a worker stops at its own first, and
+    a worker that dies raises :class:`InvalidStateError`. Raises
     :class:`TrainingDivergedError` on the first non-finite loss in sample
     order, once the whole batch has run and before its gradients are summed,
-    and on a parameter that the Adam step leaves non-finite.
+    and on a parameter that the Adam step leaves non-finite. No worker
+    outlives the call.
     """
     if not dataset:
         raise InvalidParameterError("dataset must be nonempty")
+    workers = min(worker_count(), cfg.batch_size, len(dataset))
     order = rng.gen.permutation(len(dataset))
     params = model.parameters()
     losses = []
@@ -206,34 +339,35 @@ def train_epoch(
             },
         )
 
-    for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-        t0 = time.perf_counter()
-        samples = []
-        for idx in order[start : start + cfg.batch_size]:
-            x_t = dataset[int(idx)]
-            if cfg.augment:
-                x_t = augment(rng, x_t)
-            samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
-        results = ordered_map(lambda s: _sample_step(model, *s), samples)
-        batch_losses = [loss for loss, _ in results]
-        for loss in batch_losses:
-            if not np.isfinite(loss):
-                raise diverged("loss", step, loss)
-        # the sum runs in the parameters' precision, in place on the first
-        # sample's gradients (a copy only when an image's precision differs);
-        # finite but huge gradients can overflow it or Adam's squared moment,
-        # which is reported once, by the finiteness check after the step
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = [g.astype(p.dtype, copy=False) for p, g in zip(params, results[0][1])]
-            for _, sample_grads in results[1:]:
-                for acc, g in zip(grads, sample_grads):
-                    acc += g
-            for g in grads:
-                g /= len(samples)
-            adam_step(params, grads, state, cfg)
-        if not all(np.isfinite(p).all() for p in params):
-            raise diverged("parameter after the Adam step", step, float(np.mean(batch_losses)))
-        losses.extend(batch_losses)
-        if log_fn is not None:
-            log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
+    with _Workers(model, workers) as pool:
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+            t0 = time.perf_counter()
+            samples = []
+            for idx in order[start : start + cfg.batch_size]:
+                x_t = dataset[int(idx)]
+                if cfg.augment:
+                    x_t = augment(rng, x_t)
+                samples.append((x_t, generate_mask(rng, x_t.height, x_t.width, cfg.acceleration, cfg.n_low)))
+            results = pool.run(samples)
+            batch_losses = [loss for loss, _ in results]
+            for loss in batch_losses:
+                if not np.isfinite(loss):
+                    raise diverged("loss", step, loss)
+            # the sum runs in the parameters' precision, in place on the first
+            # sample's gradients (a copy only when an image's precision differs);
+            # finite but huge gradients can overflow it or Adam's squared moment,
+            # which is reported once, by the finiteness check after the step
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = [g.astype(p.dtype, copy=False) for p, g in zip(params, results[0][1])]
+                for _, sample_grads in results[1:]:
+                    for acc, g in zip(grads, sample_grads):
+                        acc += g
+                for g in grads:
+                    g /= len(samples)
+                adam_step(params, grads, state, cfg)
+            if not all(np.isfinite(p).all() for p in params):
+                raise diverged("parameter after the Adam step", step, float(np.mean(batch_losses)))
+            losses.extend(batch_losses)
+            if log_fn is not None:
+                log_fn(epoch, step, float(np.mean(batch_losses)), (time.perf_counter() - t0) * 1e3)
     return model, float(np.mean(losses))

@@ -71,6 +71,23 @@ class TestGenerate:
         assert main(["generate", "--n", "3", "--size", "16", "--seed", "5", "--out", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == expected
 
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+        # each phantom is written as soon as it is drawn
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert main(["generate", "--n", str(n), "--size", "32", "--seed", "1",
+                             "--out", str(tmp_path / f"data{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(2)  # a warm-up run, so neither measured run pays for first-call costs
+        few, many = peak(2), peak(24)
+        # a 32x32 phantom holds 8 KB; the 22 more may add a tenth of that each
+        assert many - few < 22 * 820, (few, many)
+
     def test_manifest_skips_blank_and_comment_lines(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("# name,split\n\n  \na.cxt,train\n  # b.cxt,test\nc.cxt,test\n")
         assert read_manifest(tmp_path) == [(tmp_path / "a.cxt", "train"), (tmp_path / "c.cxt", "test")]
@@ -672,7 +689,7 @@ class TestInputErrors:
         assert "seed must be >= 0, got -1" in assert_input_error(main(argv), capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, name", [("generate", "make_dataset"), ("gradcheck", "run_gradcheck")])
+    @pytest.mark.parametrize("command, name", [("generate", "make_phantom"), ("gradcheck", "run_gradcheck")])
     def test_oversized_input_is_input_error_and_writes_nothing(self, tmp_path, capsys, monkeypatch, command, name):
         # as numpy raises for --size 100000, without allocating it
         def oversized(*args, **kwargs):

@@ -33,14 +33,14 @@ def test_one_changed_byte_is_the_only_diff(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line for line in lines if not line.startswith("same  ")] == ["DIFF  commands/generate.txt"]
     # every command ran, the ones that print wall times included
-    for name in ("train", "train-warm", "evaluate-test", "evaluate-train", "evaluate-report-only", "reconstruct",
+    for name in ("train", "train-3-workers", "train-warm", "evaluate-test", "evaluate-train", "evaluate-report-only", "reconstruct",
                  "reconstruct-mask-file", "gradcheck", "gradcheck-seed3", "help-top"):
         assert f"same  commands/{name}.txt" in lines
     assert "same  train/maps/phantom_004_recon.pgm" in lines and "same  m.csc1" in lines
     # evaluate without --emit-error-maps writes its report and nothing else
     assert [line for line in lines if "report-only/" in line] == [
         "same  report-only/report.csv", "same  report-only/report.csv.txt"]
-    for rel in ("warm.csc1", "warm.csc1.epoch1", "warm.csc1.epoch2", "warm.csc1.log", "recon-mask-file/x_cnn.cxt"):
+    for rel in ("m3.csc1", "m3.csc1.log", "warm.csc1", "warm.csc1.epoch1", "warm.csc1.epoch2", "warm.csc1.log", "recon-mask-file/x_cnn.cxt"):
         assert f"same  {rel}" in lines
     # the worktree of HEAD is gone
     listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True, check=True)

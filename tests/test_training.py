@@ -1,6 +1,12 @@
+import contextlib
 import hashlib
 import math
+import multiprocessing
+import os
+import signal
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from mricascade import (
     ComplexImage,
     InvalidParameterError,
     InvalidShapeError,
+    InvalidStateError,
     Rng,
     TrainConfig,
     TrainingDivergedError,
@@ -302,24 +309,55 @@ class TestOrderedMap:
         assert threading.active_count() == before
         assert sum(t is threading.main_thread() for t in threads) == on_caller
 
-    @pytest.mark.parametrize("bad", [1, 2], ids=["pool-item", "caller-item"])
-    def test_exception_propagates_and_leaves_no_thread(self, monkeypatch, bad):
-        # with 2 workers item 1 runs on the pool and item 2 on the caller;
-        # either way the pool's item 3 runs before the error reaches the caller
-        ran = []
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize("bad", [1, 2], ids=["item1", "item2"])
+    def test_exception_propagates_and_leaves_no_thread(self, monkeypatch, bad, workers):
+        # item 1 runs on the pool; item 2 on the caller with 2 workers and on
+        # the pool with 3. An item after the failing one waits until it has
+        # failed, so each pool thread starts at most one such item; once the
+        # failure is known, no later item starts
+        ran, failed = [], threading.Event()
 
         def fail_on_bad(x):
             ran.append(x)
             if x == bad:
+                failed.set()
                 raise ValueError(f"item {x}")
+            if x > bad:
+                failed.wait(timeout=10)
+                time.sleep(0.05)  # lets the failing item's task record its failure
             return x
 
-        monkeypatch.setenv("CASCADE_RECON_THREADS", "2")
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
         before = threading.active_count()
         with pytest.raises(ValueError, match=f"item {bad}"):
-            training.ordered_map(fail_on_bad, [0, 1, 2, 3, 4])
+            training.ordered_map(fail_on_bad, list(range(20)))
         assert threading.active_count() == before
-        assert 3 in ran and 4 not in ran
+        assert set(range(bad + 1)) <= set(ran)
+        assert len([x for x in ran if x > bad]) <= int(workers) - 1, sorted(ran)
+
+
+    def test_more_threads_than_cores_keep_item_order(self, monkeypatch):
+        # 6 threads, switching often: the results keep item order, and of two
+        # failing items the first in item order is raised, whichever failed first
+        monkeypatch.setenv("CASCADE_RECON_THREADS", "6")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = threading.active_count()
+            assert training.ordered_map(lambda x: x * x, list(range(300))) == [x * x for x in range(300)]
+            for bad in ({37, 5}, {150, 151}, {0, 299}):
+
+                def fail_on_bad(x):
+                    if x in bad:
+                        raise ValueError(f"item {x}")
+                    return x
+
+                with pytest.raises(ValueError, match=f"^item {min(bad)}$"):
+                    training.ordered_map(fail_on_bad, list(range(300)))
+            assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(switch)
 
 
 def train_two_epochs(monkeypatch, workers, n_images, batch_size):
@@ -345,13 +383,16 @@ class TestThreadedTrainEpoch:
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("workers,on_caller", [("1", 4), ("2", 2), ("3", 2)])
-    def test_caller_runs_every_workers_th_sample(self, monkeypatch, workers, on_caller):
+    def test_caller_runs_every_workers_th_sample(self, monkeypatch, tmp_path, workers, on_caller):
         # a batch of 4: the caller runs samples 0, 2 with 2 workers and 0, 3
-        # with 3; the pool runs the rest and is gone when the epoch returns
-        threads = []
+        # with 3; forked workers run the rest and are gone when the epoch
+        # returns. A worker's memory is its own, so the spy appends the pid
+        # of the process that ran each sample to a file
+        log = tmp_path / "pids"
 
         def spy(model, meas):
-            threads.append(threading.current_thread())
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
             return cascade_forward(model, meas)
 
         monkeypatch.setattr(training, "cascade_forward", spy)
@@ -360,25 +401,29 @@ class TestThreadedTrainEpoch:
         before = threading.active_count()
         train_epoch(model, images, cfg, rng, state)
         assert threading.active_count() == before
-        assert len(threads) == 4
-        assert sum(t is threading.main_thread() for t in threads) == on_caller
-        # the pool may run both its samples on one of its threads
-        assert min(int(workers), 2) <= len(set(threads)) <= int(workers)
+        assert multiprocessing.active_children() == []
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == 4
+        assert pids.count(os.getpid()) == on_caller
+        assert min(int(workers), 2) <= len(set(pids)) <= int(workers)
 
     def test_divergence_reports_first_sample_in_batch_order(self, monkeypatch):
-        # samples 1 (on the pool) and 2 (on the caller) of the second batch
-        # diverge: the error names sample 1's loss, and that batch takes no Adam step
+        # samples 1 (on a worker) and 2 (on the caller) of the second batch
+        # diverge: the error names sample 1's loss, and that batch takes no
+        # Adam step. A sample sent to a worker is a copy, so the spy knows
+        # an image by its bytes
         n_images, batch = 8, 4
         order = Rng(0).child(1).gen.permutation(n_images)
 
         def run(workers):
             monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
             model, images, cfg, state, rng = small_setup(n_images=n_images, batch_size=batch, augment=False)
-            bad = {id(images[order[batch + 1]]): math.inf, id(images[order[batch + 2]]): -math.inf}
+            bad = {images[order[batch + 1]].channels.tobytes(): math.inf,
+                   images[order[batch + 2]].channels.tobytes(): -math.inf}
 
             def spy(x_cnn, x_t):
                 loss, grad = mse_loss(x_cnn, x_t)
-                return bad.get(id(x_t), loss), grad
+                return bad.get(x_t.channels.tobytes(), loss), grad
 
             monkeypatch.setattr(training, "mse_loss", spy)
             stepped = []
@@ -387,6 +432,7 @@ class TestThreadedTrainEpoch:
                     model, images, cfg, rng, state, epoch=5,
                     log_fn=lambda *_: stepped.append([p.copy() for p in model.parameters()]),
                 )
+            assert multiprocessing.active_children() == []
             assert state.t == len(stepped) == 1
             for b, p in zip(stepped[0], model.parameters(), strict=True):
                 assert np.array_equal(b, p)
@@ -405,6 +451,112 @@ class TestThreadedTrainEpoch:
         model, images, cfg, state, rng = small_setup()
         with pytest.raises(InvalidParameterError, match="CASCADE_RECON_THREADS"):
             train_epoch(model, images, cfg, rng, state)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block, rather than hang, after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestWorkerProcesses:
+    """Failures in one batch of 4 samples run on forked worker processes,
+    with augmentation off so that a spy knows each sample's place in the
+    batch from its image's bytes: a sample sent to a worker is a copy."""
+
+    @staticmethod
+    def run_epoch(monkeypatch, workers, act, log=None):
+        """One epoch with ``_sample_step`` replaced by a spy that appends
+        each sample's place to the file ``log``, if given, then calls
+        ``act(place)``; returns the Adam state."""
+        monkeypatch.setenv("CASCADE_RECON_THREADS", workers)
+        model, images, cfg, state, rng = small_setup(n_images=4, batch_size=4, augment=False)
+        order = Rng(0).child(1).gen.permutation(4)
+        place = {images[k].channels.tobytes(): i for i, k in enumerate(order)}
+        step = training._sample_step
+
+        def spy(model, x_t, mask):
+            i = place[x_t.channels.tobytes()]
+            if log is not None:
+                with open(log, "a") as f:
+                    f.write(f"{i}\n")
+            act(i)
+            return step(model, x_t, mask)
+
+        monkeypatch.setattr(training, "_sample_step", spy)
+        with deadline(60):
+            try:
+                train_epoch(model, images, cfg, rng, state)
+            finally:
+                assert multiprocessing.active_children() == []
+        return state
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    @pytest.mark.parametrize("bad", [(1, 2), (2, 3)], ids=["sample1", "sample2"])
+    def test_first_error_in_sample_order_reaches_the_caller(self, monkeypatch, workers, bad):
+        # sample 1 runs on worker 1; sample 2 on the caller with 2 workers
+        # and on worker 2 with 3; sample 3 on worker 1 with 2 and on the
+        # caller with 3. Whichever process runs it, the first failing sample's
+        # error is raised, with its type and message
+        def act(i):
+            if i == bad[0]:
+                raise InvalidShapeError(f"sample {i} has a bad shape")
+            if i == bad[1]:
+                raise InvalidParameterError(f"sample {i} has a bad parameter")
+
+        with pytest.raises(InvalidShapeError) as exc_info:
+            self.run_epoch(monkeypatch, workers, act)
+        assert type(exc_info.value) is InvalidShapeError
+        assert str(exc_info.value) == f"sample {bad[0]} has a bad shape"
+
+    def test_a_worker_stops_at_its_first_failing_sample(self, monkeypatch, tmp_path):
+        # with 2 workers, worker 1 runs samples 1 and 3 and the caller 0 and 2
+        log = tmp_path / "ran"
+
+        def act(i):
+            if i == 1:
+                raise InvalidParameterError("sample 1")
+
+        with pytest.raises(InvalidParameterError, match="sample 1"):
+            self.run_epoch(monkeypatch, "2", act, log)
+        assert sorted(int(line) for line in log.read_text().split()) == [0, 1, 2]
+
+    def test_a_dead_worker_raises_invalid_state(self, monkeypatch):
+        # worker 1 dies on sample 3, its second, without a word to the caller
+        caller = os.getpid()
+
+        def act(i):
+            if i == 3 and os.getpid() != caller:
+                os._exit(3)
+
+        with pytest.raises(InvalidStateError, match="training worker 1 of 2 exited mid-batch with code 3"):
+            self.run_epoch(monkeypatch, "2", act)
+
+    def test_an_interrupt_in_the_caller_leaves_no_worker(self, monkeypatch):
+        # sample 2 runs on the caller while worker 1 runs samples 1 and 3
+        caller = os.getpid()
+
+        def act(i):
+            if i == 2 and os.getpid() == caller:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_epoch(monkeypatch, "2", act)
+
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_a_normal_epoch_leaves_no_worker(self, monkeypatch, workers):
+        state = self.run_epoch(monkeypatch, workers, lambda i: None)
+        assert state.t == 1
 
 
 class TestTrainedParameterPin:

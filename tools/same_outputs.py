@@ -6,10 +6,13 @@ BASE and CHANGE are each a directory holding ``src/mricascade`` or a git
 revision of the repository in the current directory; a revision is checked
 out with ``git worktree add`` into a temporary directory and removed again
 afterwards. Both trees run the same command list, each in its own empty
-working directory with relative paths and ``CASCADE_RECON_THREADS=2``:
+working directory with relative paths and ``CASCADE_RECON_THREADS=2``, or 3
+where marked:
 
 - ``generate --n 6 --size 32 --seed 5``;
 - ``train --nc 2 --nd 3 --nf 8 --epochs 3 --batch-size 2 --seed 1``;
+- the same ``train`` with ``--batch-size 3``, on 3 workers, so that a batch
+  runs on two worker processes beside the caller;
 - a warm start from that checkpoint, ``train --init-checkpoint m.csc1
   --checkpoint-every 1 --epochs 2``, with its per-epoch snapshots;
 - ``evaluate --mask-seed 3 --out-report --emit-error-maps`` on each split,
@@ -42,6 +45,8 @@ COMMANDS = {
     "generate": ["generate", "--n", "6", "--size", "32", "--seed", "5", "--out", "data"],
     "train": ["train", "--data", "data", "--nc", "2", "--nd", "3", "--nf", "8", "--epochs", "3",
               "--batch-size", "2", "--seed", "1", "--out", "m.csc1"],
+    "train-3-workers": ["train", "--data", "data", "--nc", "2", "--nd", "3", "--nf", "8", "--epochs", "3",
+                        "--batch-size", "3", "--seed", "1", "--out", "m3.csc1"],
     "train-warm": ["train", "--data", "data", "--nc", "2", "--nd", "3", "--nf", "8", "--epochs", "2",
                    "--batch-size", "2", "--seed", "2", "--init-checkpoint", "m.csc1", "--checkpoint-every", "1",
                    "--out", "warm.csc1"],
@@ -64,6 +69,8 @@ COMMANDS = {
         for cmd in ("", "generate", "train", "reconstruct", "evaluate", "gradcheck")
     },
 }
+# the worker count of each command run with other than the default of 2
+WORKERS = {"train-3-workers": "3"}
 CAPTURES = "commands"
 WALL_TIME_LINE = re.compile(rb"^(reconstruction took|mean reconstruction time:) .* ms$", re.MULTILINE)
 
@@ -71,9 +78,10 @@ WALL_TIME_LINE = re.compile(rb"^(reconstruction took|mean reconstruction time:) 
 def run_commands(tree: Path, out: Path) -> None:
     """Run every command of :data:`COMMANDS` on ``tree``'s package in ``out``
     and write each one's stdout, stderr and exit code to ``out/commands``."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "CASCADE_RECON_THREADS": "2"}
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     (out / CAPTURES).mkdir(parents=True)
     for name, argv in COMMANDS.items():
+        env["CASCADE_RECON_THREADS"] = WORKERS.get(name, "2")
         proc = subprocess.run([sys.executable, "-m", "mricascade", *argv], cwd=out, env=env, capture_output=True)
         (out / CAPTURES / f"{name}.txt").write_bytes(
             proc.stdout + b"--- stderr\n" + proc.stderr + f"--- exit {proc.returncode}\n".encode()
