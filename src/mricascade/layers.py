@@ -59,6 +59,19 @@ output, and a weight gradient sums the products of its bands. Bands need not
 end at a row boundary. A weight gradient's GEMM puts whichever operand has
 more rows on the left, the columns or the rows they meet, because BLAS runs it
 faster that way, and transposes its sum once at the end.
+
+A gathering band's product, and the product a scattering correlation adds
+back, is run by _matmul_columns in slices of its columns when its operands are
+float32, it sums at most 448 products per output (K) and its width is a
+multiple of 64. Each slice is a multiple of 64 columns and at most 10**6
+multiply-adds, a size OpenBLAS runs on its small-matrix kernel without packing
+its operands, 1.4-1.8x faster than the packed kernel at the desk shapes. The
+slices keep the bits of one call: splitting the columns changes no output's
+products, the packed kernel sums K <= 448 in one block as the small kernel
+does, and no slice ends in a column tail narrower than 64, where the small
+kernel sums in another order. Any other product is one call: a float64 one,
+and every product of the full-scale 64-channel model at 80x80, whose K is 576
+or whose width, 80*82 flat columns, is no multiple of 64.
 """
 
 from __future__ import annotations
@@ -157,9 +170,10 @@ def _column_bands(xp: np.ndarray, k: int):
     cols is [C*k*k, b-a]: row (c, di, dj) is channel c shifted by (di - p, dj - p)
     over flat output columns a..b of [H, Wp], each image row followed by 2p junk
     columns. Every band is a view of one buffer that the next band overwrites,
-    filled by one copy from a read-only strided window of the flat rows: tap
-    (di, dj) of channel c starts di*Wp + dj values after the band's first
-    column, and the extra zero row keeps every read inside channel c's row.
+    filled by one copy from its slice of one read-only strided window [C, k, k,
+    H*Wp] of the flat rows: tap (di, dj) of channel c starts di*Wp + dj values
+    after the band's first column, and the extra zero row keeps every read
+    inside channel c's row.
     """
     c, hp, wp = xp.shape
     p = (k - 1) // 2
@@ -174,13 +188,42 @@ def _column_bands(xp: np.ndarray, k: int):
     # the band width does change the last bits.
     width = min(n, max(64, _BAND_BYTES // (rows * xp.itemsize) // 64 * 64))
     buf = np.empty(rows * width, dtype=xp.dtype)
+    window = np.lib.stride_tricks.as_strided(
+        xf, shape=(c, k, k, n), strides=(s_c, wp * s_q, s_q, s_q), writeable=False
+    )
     for a in range(0, n, width):
         b = min(a + width, n)
         cols = buf[: rows * (b - a)].reshape(c, k, k, b - a)
-        cols[...] = np.lib.stride_tricks.as_strided(
-            xf[:, a:], shape=cols.shape, strides=(s_c, wp * s_q, s_q, s_q), writeable=False
-        )
+        cols[...] = window[..., a:b]
         yield a, b, cols.reshape(rows, b - a)
+
+
+# OpenBLAS's float32 GEMM runs a product of at most this many multiply-adds
+# on its small-matrix kernel, which reads its operands where they lie instead
+# of packing them first (scipy-openblas 0.3.31, SkylakeX kernels). Desk-scale
+# conv products sit just above it: on one thread [16,144]@[144,384] ran at
+# 100-150 GFLOP/s, and [16,144]@[144,448], packed, at 70-90.
+_SMALL_GEMM_MACS = 10**6
+# the packed kernel sums the K axis in blocks of this many
+_SMALL_GEMM_MAX_K = 448
+
+
+def _matmul_columns(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = lhs @ rhs, in slices of rhs's columns sized for the small-matrix kernel.
+
+    Each slice is a multiple of 64 columns and at most _SMALL_GEMM_MACS
+    multiply-adds. Only float32 operands with K <= _SMALL_GEMM_MAX_K and a
+    width that is a multiple of 64 are sliced, so the slices give the bits of
+    one call (see the module docstring); any other product is one call.
+    """
+    m, k = lhs.shape
+    n = rhs.shape[1]
+    step = _SMALL_GEMM_MACS // (m * k) // 64 * 64
+    if not (step and lhs.dtype == rhs.dtype == np.float32 and k <= _SMALL_GEMM_MAX_K and n % 64 == 0):
+        return np.matmul(lhs, rhs, out=out)
+    for a in range(0, n, step):
+        np.matmul(lhs, rhs[:, a : a + step], out=out[:, a : a + step])
+    return out
 
 
 def _dot_columns(lhs: np.ndarray, xp: np.ndarray, k: int) -> np.ndarray:
@@ -208,7 +251,8 @@ def _scatter(w4: np.ndarray, xw: np.ndarray, wp: int) -> np.ndarray:
     p = (k - 1) // 2
     n = xw.shape[1]
     wrows = w4[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(n_out * k * k, n_in)
-    prods = (wrows @ xw).reshape(n_out, k * k, n)
+    prods = np.empty((n_out * k * k, n), dtype=np.result_type(wrows, xw))
+    prods = _matmul_columns(wrows, xw, prods).reshape(n_out, k * k, n)
     out = np.zeros((n_out, n // wp + 2 * p + 1, wp), dtype=prods.dtype)
     flat = out.reshape(n_out, -1)
     for di in range(k):
@@ -232,7 +276,7 @@ def _correlate(w4: np.ndarray, xp: np.ndarray) -> np.ndarray:
     out = np.empty((n_out, *xp.shape[1:]), dtype=np.result_type(w4, xp))
     rows = _rows(out, p)
     for a, b, cols in _column_bands(xp, k):
-        np.matmul(w2, cols, out=rows[:, a:b])
+        _matmul_columns(w2, cols, rows[:, a:b])
     return out
 
 

@@ -468,6 +468,86 @@ class TestStridedColumnBands:
         assert np.array_equal(layers._dot_columns(lhs, xp, 3), _lhs_dot_columns(lhs, xp, 3))
 
 
+class TestSmallGemmSlices:
+    """A float32 conv product with K <= 448 and a width that is a multiple of 64
+    runs in slices of a multiple of 64 columns and at most 10**6 multiply-adds,
+    the products OpenBLAS runs on its small-matrix kernel, and the slices give
+    the bytes of one np.matmul call. No other product is sliced.
+
+    Every product layers._matmul_columns makes is recorded with the widths of
+    the np.matmul calls it ran. The reference run lifts the multiply-add limit,
+    so that each product is one call. Every flat width at 64x64 and 128x128 is a
+    multiple of 64 and none at 12x20; 10->10 at k=7 and 18->18 at k=5 gather
+    over K = 490 and 450, just above the bound, in products small enough to be
+    sliced.
+    """
+
+    @staticmethod
+    def record_products(monkeypatch):
+        products = []
+        matmul_columns, matmul = layers._matmul_columns, np.matmul
+
+        def spy_columns(lhs, rhs, out):
+            products.append((*lhs.shape, rhs.shape[1], []))
+            return matmul_columns(lhs, rhs, out)
+
+        def spy_matmul(a, b, *args, **kwargs):
+            # every np.matmul call the conv functions make is a product's
+            products[-1][-1].append(b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "_matmul_columns", spy_columns)
+        monkeypatch.setattr(np, "matmul", spy_matmul)
+        return products
+
+    @staticmethod
+    def run(n_in, n_out, k, h, w, dtype):
+        rng = Rng(1000 * k + 10 * n_in + n_out + h)
+        layer = he_init(rng, n_out, n_in, k, dtype=dtype)
+        layer.bias[:] = rng.gen.standard_normal(n_out)
+        x = rng.gen.standard_normal((n_in, h, w)).astype(dtype)
+        grad_out = rng.gen.standard_normal((n_out, h, w)).astype(dtype)
+        out, cache = conv_forward(layer, x)
+        return (out, *conv_backward(layer, cache, grad_out))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h, w", [(12, 20), (64, 64), (128, 128)])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n_in, n_out", [(1, 8), (2, 16), (16, 16), (16, 2), (10, 10), (18, 18), (2, 64), (64, 2), (32, 32)])
+    def test_slices_match_one_call(self, monkeypatch, n_in, n_out, k, h, w, dtype):
+        products = self.record_products(monkeypatch)
+        got = self.run(n_in, n_out, k, h, w, dtype)
+        assert products
+        for m, kk, n, widths in products:
+            assert sum(widths) == n
+            step = 10**6 // (m * kk) // 64 * 64
+            if dtype == np.float64 or kk > 448 or n % 64 or not step:
+                assert widths == [n], (m, kk, n)
+                continue
+            assert widths == [min(step, n - a) for a in range(0, n, step)]
+            assert all(width % 64 == 0 and m * kk * width <= 10**6 for width in widths)
+        monkeypatch.setattr(layers, "_SMALL_GEMM_MACS", 1 << 62)
+        expect = self.run(n_in, n_out, k, h, w, dtype)
+        for name, a, b in zip(("out", "grad_in", "grad_w", "grad_b"), got, expect):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
+
+    def test_desk_products_run_in_slices(self, monkeypatch):
+        # the 3-layer 16-channel desk block at 64x64: 4224 flat columns, which
+        # the 16->16 gather takes in bands of 1792
+        products = self.record_products(monkeypatch)
+        for n_in, n_out in [(2, 16), (16, 16), (16, 2)]:
+            self.run(n_in, n_out, 3, 64, 64, np.float32)
+        sliced = [product for product in products if len(product[-1]) > 1]
+        assert sliced == [
+            (16, 18, 4224, [3456, 768]),  # 2->16 forward, gathering
+            (18, 16, 4224, [3456, 768]),  # its input gradient, scattering
+            *[(16, 144, 1792, [384] * 4 + [256])] * 2, (16, 144, 640, [384, 256]),  # 16->16 forward
+            *[(16, 144, 1792, [384] * 4 + [256])] * 2, (16, 144, 640, [384, 256]),  # its input gradient
+            (18, 16, 4224, [3456, 768]),  # 16->2 forward, scattering
+            (16, 18, 4224, [3456, 768]),  # its input gradient, gathering
+        ]
+
+
 class TestRelu:
     def test_forward_clamps_negatives(self):
         out, _ = relu_forward(np.array([-1.0, 0.0, 2.0]))

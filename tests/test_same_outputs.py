@@ -1,5 +1,5 @@
 """The byte-comparison tool that CHANGES.md cites, with a negative control:
-a tree whose only change alters one byte of one command's output."""
+a tree whose only change alters one byte of what the generate command prints."""
 
 import shutil
 import subprocess
@@ -31,16 +31,20 @@ def test_one_changed_byte_is_the_only_diff(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "."], cwd=repo, capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line for line in lines if not line.startswith("same  ")] == ["DIFF  commands/generate.txt"]
+    # both generate runs print the changed line
+    assert [line for line in lines if not line.startswith("same  ")] == [
+        "DIFF  commands/generate-desk.txt", "DIFF  commands/generate.txt"]
     # every command ran, the ones that print wall times included
     for name in ("train", "train-3-workers", "train-warm", "evaluate-test", "evaluate-train", "evaluate-report-only", "reconstruct",
-                 "reconstruct-mask-file", "gradcheck", "gradcheck-seed3", "help-top"):
+                 "reconstruct-mask-file", "train-desk", "reconstruct-desk", "gradcheck", "gradcheck-seed3",
+                 "help-top"):
         assert f"same  commands/{name}.txt" in lines
     assert "same  train/maps/phantom_004_recon.pgm" in lines and "same  m.csc1" in lines
     # evaluate without --emit-error-maps writes its report and nothing else
     assert [line for line in lines if "report-only/" in line] == [
         "same  report-only/report.csv", "same  report-only/report.csv.txt"]
-    for rel in ("m3.csc1", "m3.csc1.log", "warm.csc1", "warm.csc1.epoch1", "warm.csc1.epoch2", "warm.csc1.log", "recon-mask-file/x_cnn.cxt"):
+    for rel in ("m3.csc1", "m3.csc1.log", "warm.csc1", "warm.csc1.epoch1", "warm.csc1.epoch2", "warm.csc1.log", "recon-mask-file/x_cnn.cxt",
+                "data64/phantom_003.cxt", "desk.csc1", "desk.csc1.log", "recon-desk/x_cnn.cxt"):
         assert f"same  {rel}" in lines
     # the worktree of HEAD is gone
     listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True, check=True)

@@ -20,6 +20,10 @@ where marked:
   writes no error maps;
 - ``reconstruct --mask-seed 2`` of the first image, then ``reconstruct
   --mask-file`` with the mask file that run wrote;
+- the benchmark's desk profile: ``generate --n 4 --size 64 --seed 6``, a
+  ``train --nc 3 --nd 3 --nf 16 --epochs 2 --batch-size 2`` on those 64x64
+  images and a ``reconstruct --mask-seed 2`` with its checkpoint, so that the
+  conv products of a 16-channel model at 64x64 are compared too;
 - ``gradcheck`` with its default seed and with ``--seed`` 1, 2 and 3;
 - ``--help`` of the top level and of every command.
 
@@ -62,6 +66,11 @@ COMMANDS = {
                     "--mask-seed", "2", "--out", "recon"],
     "reconstruct-mask-file": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_001.cxt",
                               "--mask-file", "recon/mask.cxt", "--out", "recon-mask-file"],
+    "generate-desk": ["generate", "--n", "4", "--size", "64", "--seed", "6", "--out", "data64"],
+    "train-desk": ["train", "--data", "data64", "--nc", "3", "--nd", "3", "--nf", "16", "--epochs", "2",
+                   "--batch-size", "2", "--seed", "1", "--out", "desk.csc1"],
+    "reconstruct-desk": ["reconstruct", "--checkpoint", "desk.csc1", "--image", "data64/phantom_000.cxt",
+                         "--mask-seed", "2", "--out", "recon-desk"],
     "gradcheck": ["gradcheck"],
     **{f"gradcheck-seed{seed}": ["gradcheck", "--seed", str(seed)] for seed in (1, 2, 3)},
     **{
