@@ -11,11 +11,11 @@ made, where the last three are found before any file is written; commands
 raise, and only :func:`main` reports it as one ``error:`` line), 3 training
 divergence. Every command is deterministic given its flags;
 ``CASCADE_RECON_THREADS`` sets the worker count of ``train`` and ``evaluate``
-and does not change the results. Both run item ``i`` on worker
-``i % workers``, the caller being worker 0: ``train`` on processes forked once
-per epoch (``training.train_epoch``), as a desk-scale sample's many short
-numpy calls run one at a time on threads, and ``evaluate`` on threads
-(``training.ordered_map``), whose large matrix products already overlap.
+and does not change the results. Both spread their items over the workers
+by the one rule that ``training.ordered_map`` states: ``train`` on processes
+forked once per epoch (``training.train_epoch``), as a desk-scale sample's
+many short numpy calls run one at a time on threads, and ``evaluate`` on
+threads (``ordered_map`` itself), whose large matrix products already overlap.
 
 ``evaluate`` runs each image as one task, from reading its file to its
 report row, so its memory does not grow with the split size; only

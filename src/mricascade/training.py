@@ -12,7 +12,6 @@ variant. Augmentation shifts by at most :data:`MAX_AUGMENT_SHIFT` pixels.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -43,35 +42,60 @@ def worker_count() -> int:
     return int(raw)
 
 
-def ordered_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]`` on ``worker_count()`` threads, as ``evaluate``
-    runs its images: item ``i`` runs on the calling thread when
-    ``i % workers == 0`` and on a pool of ``workers - 1`` threads otherwise.
-    The pool lives for one call, and one worker makes none. The first
-    exception in item order propagates; once an item has failed, no later
-    item starts, and the pool is gone when the call returns."""
-    workers = worker_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    failed = []  # the indices of the items that have failed
-
-    def run(i, x):
-        # an item after a failed one is skipped: the error raised is that of
-        # the first failing item, so its result is never read
-        if failed and i > min(failed):
-            return None
+def _run_share(fn, items: list, j: int, w: int, first: list):
+    """``fn`` over items ``j, j + w, ...`` in order: ``(their results, the
+    exception that stopped them or None)``. The share stops at its own first
+    failure and skips every item after ``first[0]``, the lowest index known
+    to have failed, which the shares of one call hold in common. Any
+    exception records its index there; one that is not an :class:`Exception`,
+    such as an interrupt, is then raised."""
+    results = []
+    for i in range(j, len(items), w):
+        if i > first[0]:
+            break
         try:
-            return fn(x)
-        except BaseException:
-            failed.append(i)
-            raise
+            results.append(fn(items[i]))
+        except BaseException as exc:
+            first[0] = min(first[0], i)
+            if not isinstance(exc, Exception):
+                raise
+            return results, exc
+    return results, None
 
-    pool = ThreadPoolExecutor(workers - 1)
-    try:
-        futures = {i: pool.submit(run, i, x) for i, x in enumerate(items) if i % workers}
-        return [futures[i].result() if i % workers else run(i, x) for i, x in enumerate(items)]
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+def _in_item_order(n: int, w: int, share) -> list:
+    """The results of items ``0 .. n - 1`` in item order, where ``share(j)``
+    gives worker ``j``'s :func:`_run_share` pair and is called once item
+    order first reaches that worker. The first failure in item order is
+    raised, without asking any later worker."""
+    shares, results = {}, []
+    for i in range(n):
+        j, k = i % w, i // w
+        if j not in shares:
+            shares[j] = share(j)
+        done, error = shares[j]
+        if k == len(done):
+            raise error
+        results.append(done[k])
+    return results
+
+
+def ordered_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` by the fan-out rule of ``train`` and
+    ``evaluate``: with ``W = min(worker_count(), len(items))``, item ``i``
+    runs on worker ``i % W``, the caller being worker 0, each worker runs its
+    items in order, and the first exception in item order propagates, once
+    every item before it has run; no worker starts an item after one known to
+    have failed. Here workers 1 .. W - 1 are threads of a pool that lives for
+    one call, and are gone when it returns."""
+    w = min(worker_count(), len(items) or 1)
+    first = [len(items)]
+    # a pool of W, as one of 0 threads is refused: it starts a thread only per
+    # share submitted, so W - 1 in all
+    with ThreadPoolExecutor(w) as pool:
+        futures = [pool.submit(_run_share, fn, items, j, w, first) for j in range(1, w)]
+        own = _run_share(fn, items, 0, w, first)
+        return _in_item_order(len(items), w, lambda j: futures[j - 1].result() if j else own)
 
 
 @dataclass
@@ -187,22 +211,10 @@ def _sample_step(model: CascadeModel, x_t: ComplexImage, mask: SamplingMask):
         return loss, cascade_backward(model, cache, grad)
 
 
-def _run_share(model: CascadeModel, samples: list):
-    """:func:`_sample_step` over ``samples`` in order, stopping at the first
-    that raises: ``(the results before it, its exception or None)``."""
-    results = []
-    for x_t, mask in samples:
-        try:
-            results.append(_sample_step(model, x_t, mask))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
 def _serve(conn, model: CascadeModel, inherited: list) -> None:
     """A worker process's loop: per batch, take the parameters and a share of
-    the samples from ``conn`` and send back :func:`_run_share`'s pair. Returns
-    once the caller has closed its end of the pipe."""
+    the samples from ``conn``, run the share and send back :func:`_run_share`'s
+    pair. Returns once the caller has closed its end of the pipe."""
     # the caller's ends of every pipe forked so far, this one's included: a
     # copy held open here would keep a worker from ever seeing its pipe close
     for c in inherited:
@@ -214,17 +226,17 @@ def _serve(conn, model: CascadeModel, inherited: list) -> None:
             new_params, samples = conn.recv()
             for p, new in zip(params, new_params):
                 p[...] = new
-            conn.send(_run_share(model, samples))
+            conn.send(_run_share(lambda s: _sample_step(model, *s), samples, 0, 1, [len(samples)]))
     except (EOFError, BrokenPipeError):
         pass
 
 
 class _Workers:
     """``count - 1`` forked processes that run a batch's samples beside the
-    calling process, worker 0; with ``W = count``, sample ``i`` of a batch runs
-    on worker ``i % W``. Used as a context manager, for one epoch: on exit
-    every pipe is closed and every worker joined, and on an exception the
-    workers are first terminated, as their results are no longer wanted."""
+    calling process, worker 0, by the rule of :func:`ordered_map`. Used as a
+    context manager, for one epoch: on exit every pipe is closed and every
+    worker joined, and on an exception the workers are first terminated, as
+    their results are no longer wanted."""
 
     def __init__(self, model: CascadeModel, count: int):
         self.model = model
@@ -254,12 +266,13 @@ class _Workers:
             proc.join()
             proc.close()
 
-    @contextlib.contextmanager
-    def _pipe(self, j: int):
-        """The pipe to worker ``j``; one that closes because the worker died
-        raises InvalidStateError."""
+    def _pipe(self, j: int, *message):
+        """``send(message)`` on the pipe to worker ``j``, or ``recv()`` when no
+        message is given; a pipe that closes because the worker died raises
+        InvalidStateError."""
+        conn = self.conns[j - 1]
         try:
-            yield self.conns[j - 1]
+            return conn.send(*message) if message else conn.recv()
         except (EOFError, BrokenPipeError) as exc:
             proc = self.procs[j - 1]
             proc.join()
@@ -268,27 +281,18 @@ class _Workers:
             ) from exc
 
     def run(self, samples: list) -> list:
-        """Each sample's ``(loss, grads)``, in sample order. Every worker gets
-        the current parameters and its share; the caller then runs its own,
-        and the first failure in sample order is raised, once every sample
-        before it has run."""
-        w = len(self.procs) + 1
+        """Each sample's ``(loss, grads)``, in sample order, by the rule of
+        :func:`ordered_map` with ``W = min(count, len(samples))``. Every
+        worker gets the current parameters and its share; the caller then
+        runs its own, and takes a worker's results only when sample order
+        reaches them, so an earlier sample's error is raised without waiting
+        on later workers, and a worker that died after it does not mask it."""
+        w = min(len(self.procs) + 1, len(samples))
         params = self.model.parameters()
-        for j in range(1, min(w, len(samples))):
-            with self._pipe(j) as conn:
-                conn.send((params, samples[j::w]))
-        shares = {0: _run_share(self.model, samples[::w])}
-        results = []
-        for i in range(len(samples)):
-            j, k = i % w, i // w
-            if j not in shares:
-                with self._pipe(j) as conn:
-                    shares[j] = conn.recv()
-            done, error = shares[j]
-            if k == len(done):
-                raise error
-            results.append(done[k])
-        return results
+        for j in range(1, w):
+            self._pipe(j, (params, samples[j::w]))
+        own = _run_share(lambda s: _sample_step(self.model, *s), samples, 0, w, [len(samples)])
+        return _in_item_order(len(samples), w, lambda j: self._pipe(j) if j else own)
 
 
 def train_epoch(
@@ -306,12 +310,13 @@ def train_epoch(
 
     The calling process draws every sample's augmentation and mask in order.
     With ``W = min(worker_count(), batch size, dataset size)``, it forks
-    ``W - 1`` worker processes once per epoch (POSIX ``fork``), and per batch
-    sends worker ``j`` the current parameters and samples ``j, j + W, ...``;
-    it runs samples ``0, W, ...`` itself, and sums losses and gradients in
-    sample order. So an epoch is bit-for-bit reproducible for a given seed,
-    whatever the worker count. Processes, not threads: a desk-scale sample
-    makes many short numpy calls, which threads run one at a time.
+    ``W - 1`` worker processes once per epoch (POSIX ``fork``). Per batch it
+    runs the samples on them and itself by the rule of :func:`ordered_map`,
+    sending each worker the current parameters with its share, and sums
+    losses and gradients in sample order. So an epoch is bit-for-bit
+    reproducible for a given seed, whatever the worker count. Processes, not
+    threads: a desk-scale sample makes many short numpy calls, which threads
+    run one at a time.
 
     Returns ``(model, mean per-sample loss)``. A sample's exception is raised
     as it is, the first in sample order; a worker stops at its own first, and

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,21 @@ def one_worker(monkeypatch):
     """Every test starts from the default of one worker, whatever the session
     environment holds; tests that want threads set CASCADE_RECON_THREADS."""
     monkeypatch.delenv("CASCADE_RECON_THREADS", raising=False)
+
+
+def traced_peak(f) -> int:
+    """The tracemalloc peak, in bytes, of ``f()``. Garbage is collected first
+    and the collector stays off while ``f`` runs, so that where a collection
+    happens to fall does not move the peak."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def spy_on_bindings(monkeypatch, original):

@@ -2,7 +2,6 @@ import hashlib
 import math
 import os
 import struct
-import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -43,6 +42,7 @@ from mricascade import cli, dclayer, layers
 from mricascade.cascade import module_backward, module_forward
 from mricascade.gradcheck import THRESHOLDS, check_cascade, numeric_gradient, relative_error
 from mricascade.layers import ConvLayer, ReluCache
+from conftest import traced_peak
 from oracles import (
     interleaved_module_backward,
     interleaved_module_forward,
@@ -252,16 +252,8 @@ class TestInferenceMemory:
         held = [c.xp.nbytes for caches in cache.stage_caches for c in caches]
         del cache
 
-        def peak(f):
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        with_caches = peak(lambda: cascade_forward(model, meas))
-        without = peak(lambda: reconstruct(model, meas))
+        with_caches = traced_peak(lambda: cascade_forward(model, meas))
+        without = traced_peak(lambda: reconstruct(model, meas))
         # at its peak reconstruct holds one layer's input and output, as
         # cascade_forward does; every other cached byte must be gone
         assert with_caches - without >= sum(held) - 2 * max(held)
@@ -759,14 +751,12 @@ class TestCheckpoint:
         header = b"CSC1" + struct.pack("<BBd", 1, 1, 0.0) + struct.pack("<5I", 1, 2**31 - 1, 2, 3, 2**32 - 2)
         path.write_bytes(header + b"\x00" * 6)
         assert path.stat().st_size == 40
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(CheckpointFormatError, match="huge.csc1"):
                 load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
+
+        assert traced_peak(load) < 1e6
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.csc1"

@@ -4,7 +4,6 @@ import io
 import math
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from mricascade import cli
 from mricascade.cli import EvalReport, main, read_manifest, _quantize_unit
 from mricascade.gradcheck import THRESHOLDS, run_gradcheck
 from mricascade.tensorcore import load_image, load_tensor, save_image, save_tensor, write_tensor
+
+from conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,13 @@ class TestGenerate:
     def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
         # each phantom is written as soon as it is drawn
         def peak(n):
-            tracemalloc.start()
-            try:
+            def run():
                 assert main(["generate", "--n", str(n), "--size", "32", "--seed", "1",
                              "--out", str(tmp_path / f"data{n}")]) == 0
-                return tracemalloc.get_traced_memory()[1]
+
+            try:
+                return traced_peak(run)
             finally:
-                tracemalloc.stop()
                 capsys.readouterr()
 
         peak(2)  # a warm-up run, so neither measured run pays for first-call costs
@@ -550,13 +551,13 @@ class TestEvaluateStreams:
         splits = {n: self.split_of(dataset, tmp_path / f"data{n}", n) for n in (2, 24)}
 
         def peak(n):
-            tracemalloc.start()
-            try:
+            def run():
                 assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(splits[n]), "--n-low", "4",
                              "--out-report", str(tmp_path / f"r{n}.csv")]) == 0
-                return tracemalloc.get_traced_memory()[1]
+
+            try:
+                return traced_peak(run)
             finally:
-                tracemalloc.stop()
                 capsys.readouterr()
 
         peak(2)  # fills the DFT-matrix cache, so neither measured run pays for it

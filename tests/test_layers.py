@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from mricascade import (
 from mricascade import layers
 from mricascade.gradcheck import check_conv, check_relu, numeric_gradient, relative_error
 
+from conftest import traced_peak
 from oracles import (
     _lhs_dot_columns,
     naive_conv2d,
@@ -414,16 +414,8 @@ class TestColumnBands:
         grad_out = Rng(2).gen.standard_normal((64, 80, 80)).astype(np.float32)
         _, cache = conv_forward(layer, x)
 
-        def peak(f):
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(lambda: conv_forward(layer, x)) < 8e6
-        assert peak(lambda: conv_backward(layer, cache, grad_out)) < 10e6
+        assert traced_peak(lambda: conv_forward(layer, x)) < 8e6
+        assert traced_peak(lambda: conv_backward(layer, cache, grad_out)) < 10e6
 
 
 class TestStridedColumnBands:

@@ -35,11 +35,13 @@ def test_one_changed_byte_is_the_only_diff(tmp_path):
     assert [line for line in lines if not line.startswith("same  ")] == [
         "DIFF  commands/generate-desk.txt", "DIFF  commands/generate.txt"]
     # every command ran, the ones that print wall times included
-    for name in ("train", "train-3-workers", "train-warm", "evaluate-test", "evaluate-train", "evaluate-report-only", "reconstruct",
-                 "reconstruct-mask-file", "train-desk", "reconstruct-desk", "gradcheck", "gradcheck-seed3",
-                 "help-top"):
+    for name in ("train", "train-3-workers", "train-warm", "evaluate-test", "evaluate-train", "evaluate-3-workers",
+                 "evaluate-report-only", "reconstruct", "reconstruct-mask-file", "train-desk", "reconstruct-desk",
+                 "gradcheck", "gradcheck-seed3", "help-top"):
         assert f"same  commands/{name}.txt" in lines
     assert "same  train/maps/phantom_004_recon.pgm" in lines and "same  m.csc1" in lines
+    # the 3-worker evaluate's report and maps, of all 5 train images
+    assert "same  three-workers/report.csv" in lines and "same  three-workers/maps/phantom_004_recon.pgm" in lines
     # evaluate without --emit-error-maps writes its report and nothing else
     assert [line for line in lines if "report-only/" in line] == [
         "same  report-only/report.csv", "same  report-only/report.csv.txt"]

@@ -336,6 +336,23 @@ class TestOrderedMap:
         assert set(range(bad + 1)) <= set(ran)
         assert len([x for x in ran if x > bad]) <= int(workers) - 1, sorted(ran)
 
+    def test_each_worker_runs_a_fixed_share(self, monkeypatch):
+        # item 1 is slow: a pool that handed the next item to whichever
+        # thread came free first would give most of 2, 4, 5, 7, 8 to one
+        # thread; each worker runs every third item instead
+        threads = {}
+
+        def slow_item1(x):
+            threads[x] = threading.current_thread()
+            if x == 1:
+                time.sleep(0.2)
+            return x
+
+        monkeypatch.setenv("CASCADE_RECON_THREADS", "3")
+        assert training.ordered_map(slow_item1, list(range(9))) == list(range(9))
+        shares = {t: sorted(x for x in threads if threads[x] is t) for t in threads.values()}
+        assert shares.pop(threading.main_thread()) == [0, 3, 6]
+        assert sorted(shares.values()) == [[1, 4, 7], [2, 5, 8]]
 
     def test_more_threads_than_cores_keep_item_order(self, monkeypatch):
         # 6 threads, switching often: the results keep item order, and of two
@@ -540,6 +557,25 @@ class TestWorkerProcesses:
                 os._exit(3)
 
         with pytest.raises(InvalidStateError, match="training worker 1 of 2 exited mid-batch with code 3"):
+            self.run_epoch(monkeypatch, "2", act)
+
+    def test_a_dead_worker_does_not_mask_an_earlier_error(self, monkeypatch, tmp_path):
+        # with 2 workers, worker 1 dies on sample 1, and only then does the
+        # caller's sample 0 raise: sample 0 comes first in sample order, so
+        # its error is raised, and worker 1's pipe is never read
+        caller, dead = os.getpid(), tmp_path / "dead"
+
+        def act(i):
+            if i == 1 and os.getpid() != caller:
+                dead.touch()
+                os._exit(3)
+            if i == 0 and os.getpid() == caller:
+                while not dead.exists():
+                    time.sleep(0.01)
+                time.sleep(0.05)  # lets the worker exit
+                raise InvalidShapeError("sample 0 has a bad shape")
+
+        with pytest.raises(InvalidShapeError, match="^sample 0 has a bad shape$"):
             self.run_epoch(monkeypatch, "2", act)
 
     def test_an_interrupt_in_the_caller_leaves_no_worker(self, monkeypatch):

@@ -18,6 +18,8 @@ where marked:
 - ``evaluate --mask-seed 3 --out-report --emit-error-maps`` on each split,
   and ``evaluate --mask-seed 4 --out-report`` on the train split, which
   writes no error maps;
+- the same ``evaluate`` of the train split's 5 images with error maps, on 3
+  workers, so that two pool threads run beside the caller;
 - ``reconstruct --mask-seed 2`` of the first image, then ``reconstruct
   --mask-file`` with the mask file that run wrote;
 - the benchmark's desk profile: ``generate --n 4 --size 64 --seed 6``, a
@@ -60,6 +62,9 @@ COMMANDS = {
                               "--emit-error-maps", f"{split}/maps"]
         for split in ("test", "train")
     },
+    "evaluate-3-workers": ["evaluate", "--checkpoint", "m.csc1", "--data", "data", "--split", "train",
+                           "--mask-seed", "3", "--out-report", "three-workers/report.csv",
+                           "--emit-error-maps", "three-workers/maps"],
     "evaluate-report-only": ["evaluate", "--checkpoint", "m.csc1", "--data", "data", "--split", "train",
                              "--mask-seed", "4", "--out-report", "report-only/report.csv"],
     "reconstruct": ["reconstruct", "--checkpoint", "m.csc1", "--image", "data/phantom_000.cxt",
@@ -79,7 +84,7 @@ COMMANDS = {
     },
 }
 # the worker count of each command run with other than the default of 2
-WORKERS = {"train-3-workers": "3"}
+WORKERS = {"train-3-workers": "3", "evaluate-3-workers": "3"}
 CAPTURES = "commands"
 WALL_TIME_LINE = re.compile(rb"^(reconstruction took|mean reconstruction time:) .* ms$", re.MULTILINE)
 
